@@ -1,18 +1,22 @@
 """Regenerate the fixture documents from the in-code builders.
 
-Writes identical copies into ``fixtures/`` (for command-line examples) and
-``src/bicfrac/fixtures/`` (shipped with the package so ``bicfrac demo``
-works from any directory).  Run from the repository root:
+Writes them into ``src/bicfrac/fixtures/``, which ships with the package so
+``bicfrac demo`` works from any directory.  With ``--check`` it writes
+nothing and exits 1, naming each fixture whose committed text differs from
+the regenerated text:
 
     python3 scripts/gen_fixtures.py
+    python3 scripts/gen_fixtures.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_DIR = ROOT / "src" / "bicfrac" / "fixtures"
 sys.path.insert(0, str(ROOT / "src"))
 
 from bicfrac.builders import (  # noqa: E402
@@ -74,16 +78,29 @@ def catalog() -> dict[str, Presentation]:
     return docs
 
 
-def main() -> None:
-    targets = [ROOT / "fixtures", ROOT / "src" / "bicfrac" / "fixtures"]
-    for d in targets:
-        d.mkdir(parents=True, exist_ok=True)
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="write nothing; exit 1 if a committed fixture differs from its regenerated text",
+    )
+    args = parser.parse_args(argv)
+    stale = []
     for name, pres in catalog().items():
         text = export_presentation(pres)
-        for d in targets:
-            (d / f"{name}.json").write_text(text, encoding="utf-8")
-        print(f"wrote {name}.json ({len(text)} bytes)")
+        path = FIXTURE_DIR / f"{name}.json"
+        if args.check:
+            if not path.is_file() or path.read_text(encoding="utf-8") != text:
+                stale.append(path.name)
+            continue
+        FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path.name} ({len(text)} bytes)")
+    for name in stale:
+        print(f"stale fixture: {name} is missing or differs from its regenerated text",
+              file=sys.stderr)
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

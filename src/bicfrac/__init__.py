@@ -83,6 +83,7 @@ from .core import (
     internal_equivalences,
     inv_cells2,
     is_invertible2,
+    structural_violations,
     two_cell_inverse,
     validate_bicat,
     vchain,
@@ -119,6 +120,7 @@ from .psfun import (
     identity_psfun,
     induce_g_tilde,
     maps_into,
+    structural_psfun_violations,
     validate_psfun,
 )
 from .wclass import (

@@ -71,12 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="honor a declared strict flag instead of taking the general path",
     )
     common.add_argument(
-        "--jobs",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker count; results are identical at any value",
-    )
-    common.add_argument(
         "--format",
         choices=("text", "machine"),
         default=argparse.SUPPRESS,
@@ -87,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bicfrac",
         description="Finite bicategories, fraction localizations and transfer conditions.",
     )
-    p.set_defaults(strict_fast_path=False, jobs=1, format="text")
+    p.set_defaults(strict_fast_path=False, format="text")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", parents=[common], help="run the law checker on a document")
@@ -555,9 +549,6 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         code, payload, text = _HANDLERS[args.command](args)
     except UsageError as e:

@@ -264,6 +264,33 @@ def _problem_a3(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
     return _Problem(universals, candidates, verify)
 
 
+def _equalized_in_source(
+    src: FinBicat, W_A: WClass, universals: Callable[[], Iterator[tuple]]
+) -> _Problem:
+    """The search shared by A4 and B4.
+
+    Each input starts with parallel source 2-cells ``g1, g2``; a solution is
+    a class member ``z_a`` into their source object with ``g1 ∗ z_a = g2 ∗
+    z_a``.
+    """
+
+    def candidates(u: tuple) -> Iterator[tuple]:
+        a_a = src.one(src.two(u[0]).src).src
+        for z_a in _class_into(src, W_A, a_a):
+            yield (z_a,)
+
+    def verify(u: tuple, w: tuple) -> bool:
+        g1, g2 = u[:2]
+        (z_a,) = w
+        if z_a not in W_A:
+            return False
+        if src.one(z_a).tgt != src.one(src.two(g1).src).src:
+            return False
+        return whisker_right(src, g1, z_a) == whisker_right(src, g2, z_a)
+
+    return _Problem(universals, candidates, verify)
+
+
 def _problem_a4(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
     src, tgt = F.source, F.target
 
@@ -279,22 +306,7 @@ def _problem_a4(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                         if lhs == whisker_right(tgt, F.f2[g2], z_b):
                             yield (g1.id, g2, z_b)
 
-    def candidates(u: tuple) -> Iterator[tuple]:
-        g1, g2, z_b = u
-        a_a = src.one(src.two(g1).src).src
-        for z_a in _class_into(src, W_A, a_a):
-            yield (z_a,)
-
-    def verify(u: tuple, w: tuple) -> bool:
-        g1, g2, z_b = u
-        (z_a,) = w
-        if z_a not in W_A:
-            return False
-        if src.one(z_a).tgt != src.one(src.two(g1).src).src:
-            return False
-        return whisker_right(src, g1, z_a) == whisker_right(src, g2, z_a)
-
-    return _Problem(universals, candidates, verify)
+    return _equalized_in_source(src, W_A, universals)
 
 
 def build_a5_composite(
@@ -492,22 +504,7 @@ def _problem_b4(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                 if F.f2[g1.id] == F.f2[g2]:
                     yield (g1.id, g2)
 
-    def candidates(u: tuple) -> Iterator[tuple]:
-        g1, g2 = u
-        a_a = src.one(src.two(g1).src).src
-        for z_a in _class_into(src, W_A, a_a):
-            yield (z_a,)
-
-    def verify(u: tuple, w: tuple) -> bool:
-        g1, g2 = u
-        (z_a,) = w
-        if z_a not in W_A:
-            return False
-        if src.one(z_a).tgt != src.one(src.two(g1).src).src:
-            return False
-        return whisker_right(src, g1, z_a) == whisker_right(src, g2, z_a)
-
-    return _Problem(universals, candidates, verify)
+    return _equalized_in_source(src, W_A, universals)
 
 
 def _problem_b5(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:

@@ -4,8 +4,10 @@ A `FinBicat` stores every cell and every structural operation of a finite
 bicategory explicitly: objects, 1-cells, 2-cells, identities, horizontal and
 vertical composition, the two whiskerings, associators and the two unitors.
 Nothing is computed lazily from generators; the tables *are* the bicategory.
-`validate_bicat` checks the axioms exhaustively, `eval_pasting` evaluates
-formal pasting expressions against the tables, and small search utilities
+Construction rejects undeclared cells; `structural_violations` checks that
+every table is total and well typed, and `validate_bicat` runs that check
+and then the axioms exhaustively.  `eval_pasting` evaluates formal pasting
+expressions against the tables, and small search utilities
 (`two_cell_inverse`, `internal_equivalence_witness`) decide invertibility.
 
 Derived composition of 2-cells (`hcompose2`) is defined from the whiskering
@@ -16,7 +18,7 @@ two possible whisker orders agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 class StructureError(ValueError):
@@ -37,6 +39,11 @@ class InvertibilityError(ValueError):
 
 class PreconditionError(ValueError):
     """A construction was invoked on data that fails its entry conditions."""
+
+
+def entry_name(table: str, key) -> str:
+    """A table entry named as in a document, e.g. ``hcomp1[('v', 'idA')]``."""
+    return f"{table}[{key!r}]"
 
 
 @dataclass(frozen=True)
@@ -98,59 +105,70 @@ class FinBicat:
         self._build_index()
 
     def _build_index(self) -> None:
-        objs = set(self.objects)
-        if len(objs) != len(self.objects):
-            raise StructureError("duplicate object id")
+        """Index the cells, or raise `StructureError` naming the entry at fault.
+
+        Only what the index cannot be built without is checked here:
+        duplicate ids, undeclared endpoints and boundaries, and table keys
+        and values that are not declared cells of the right kind.  Totality
+        and typing of the tables are `structural_violations`' job.
+        """
+        obj_pos: dict[str, int] = {}
+        for i, x in enumerate(self.objects):
+            if x in obj_pos:
+                raise StructureError(f"{entry_name('objects', x)}: duplicate id")
+            obj_pos[x] = i
         one_by_id: dict[str, OneCell] = {}
+        homs: dict[tuple[str, str], list[str]] = {}
+        into: dict[str, list[OneCell]] = {}
         for c in self.one_cells:
             if c.id in one_by_id:
-                raise StructureError(f"duplicate 1-cell id {c.id!r}")
-            if c.src not in objs or c.tgt not in objs:
-                raise StructureError(f"1-cell {c.id!r} has undeclared endpoint")
+                raise StructureError(f"{entry_name('one_cells', c.id)}: duplicate id")
+            for x in (c.src, c.tgt):
+                if x not in obj_pos:
+                    raise StructureError(f"{entry_name('one_cells', c.id)}: undeclared object {x!r}")
             one_by_id[c.id] = c
+            homs.setdefault((c.src, c.tgt), []).append(c.id)
+            into.setdefault(c.tgt, []).append(c)
         two_by_id: dict[str, TwoCell] = {}
+        frames: dict[tuple[str, str], list[str]] = {}
         for t in self.two_cells:
             if t.id in two_by_id or t.id in one_by_id:
-                raise StructureError(f"duplicate 2-cell id {t.id!r}")
-            f, g = one_by_id.get(t.src), one_by_id.get(t.tgt)
-            if f is None or g is None:
-                raise StructureError(f"2-cell {t.id!r} has undeclared boundary")
+                raise StructureError(f"{entry_name('two_cells', t.id)}: duplicate id")
+            for leg in (t.src, t.tgt):
+                if leg not in one_by_id:
+                    raise StructureError(f"{entry_name('two_cells', t.id)}: undeclared 1-cell {leg!r}")
+            f, g = one_by_id[t.src], one_by_id[t.tgt]
             if (f.src, f.tgt) != (g.src, g.tgt):
-                raise StructureError(f"2-cell {t.id!r} has non-parallel boundary")
+                raise StructureError(f"{entry_name('two_cells', t.id)}: non-parallel boundary")
             two_by_id[t.id] = t
-        for table, arity in (
-            (self.id1, "obj"), (self.id2, "one"), (self.runit, "one"), (self.lunit, "one"),
+            frames.setdefault((t.src, t.tgt), []).append(t.id)
+        ob, one, two = obj_pos, one_by_id, two_by_id
+        for name, key_sets, values in (  # each table's key parts and values
+            ("id1", [ob], one), ("id2", [one], two),
+            ("hcomp1", [one, one], one), ("vcomp", [two, two], two),
+            ("whisk_left", [one, two], two), ("whisk_right", [two, one], two),
+            ("assoc", [one, one, one], two), ("runit", [one], two), ("lunit", [one], two),
         ):
-            for k, v in table.items():
-                ok = k in objs if arity == "obj" else k in one_by_id
-                if not ok or v not in (one_by_id if table is self.id1 else two_by_id):
-                    raise StructureError(f"table entry {k!r} -> {v!r} refers to undeclared cell")
-        for table, kn, vn in (
-            (self.hcomp1, 2, one_by_id), (self.vcomp, 2, two_by_id),
-            (self.whisk_left, 2, two_by_id), (self.whisk_right, 2, two_by_id),
-            (self.assoc, 3, two_by_id),
-        ):
-            for k, v in table.items():
-                parts = k if isinstance(k, tuple) else (k,)
-                if len(parts) != kn or v not in vn:
-                    raise StructureError(f"table entry {k!r} -> {v!r} is malformed")
-                for p in parts:
-                    if p not in one_by_id and p not in two_by_id:
-                        raise StructureError(f"table key {k!r} refers to undeclared cell")
+            arity = len(key_sets)
+            for k, v in getattr(self, name).items():
+                parts = (k,) if arity == 1 else k
+                if arity > 1 and (type(k) is not tuple or len(k) != arity):
+                    raise StructureError(f"{entry_name(name, k)}: malformed key")
+                for p, known in zip(parts, key_sets):
+                    if p not in known:
+                        noun = "object" if known is ob else "cell"
+                        raise StructureError(f"{entry_name(name, k)}: undeclared {noun} {p!r}")
+                if v not in values:
+                    raise StructureError(f"{entry_name(name, k)}: undeclared cell {v!r}")
         c = self._cache
         c.clear()
         c["one_by_id"] = one_by_id
         c["two_by_id"] = two_by_id
-        c["obj_pos"] = {x: i for i, x in enumerate(self.objects)}
+        c["obj_pos"] = obj_pos
         c["one_pos"] = {x.id: i for i, x in enumerate(self.one_cells)}
         c["two_pos"] = {x.id: i for i, x in enumerate(self.two_cells)}
-        homs: dict[tuple[str, str], list[str]] = {}
-        for x in self.one_cells:
-            homs.setdefault((x.src, x.tgt), []).append(x.id)
         c["homs"] = homs
-        frames: dict[tuple[str, str], list[str]] = {}
-        for t in self.two_cells:
-            frames.setdefault((t.src, t.tgt), []).append(t.id)
+        c["into"] = into
         c["frames"] = frames
         c["inverse"] = {}
 
@@ -176,6 +194,10 @@ class FinBicat:
 
     def hom1(self, x: str, y: str) -> list[str]:
         return self._cache["homs"].get((x, y), [])
+
+    def into1(self, y: str) -> list[OneCell]:
+        """1-cells with target ``y``, in declaration order."""
+        return self._cache["into"].get(y, [])
 
     def cells2(self, f: str, g: str) -> list[str]:
         return self._cache["frames"].get((f, g), [])
@@ -548,6 +570,12 @@ class Violation:
     cells: tuple
     detail: str = ""
 
+    @property
+    def entry(self) -> str:
+        """The entry at fault of a ``structure:<table>`` violation, as a document names it."""
+        key = self.cells[0] if len(self.cells) == 1 else self.cells
+        return entry_name(self.law.partition(":")[2], key)
+
 
 @dataclass
 class ValidationReport:
@@ -560,121 +588,115 @@ class ValidationReport:
         return {v.law for v in self.violations}
 
 
-def _structural_violations(B: FinBicat) -> list[Violation]:
+def composable_pairs(B: FinBicat) -> Iterator[tuple[OneCell, OneCell]]:
+    """Pairs ``(g, f)`` with ``src(g) == tgt(f)``, in declaration order."""
+    for g in B.one_cells:
+        for f in B.into1(g.src):
+            yield g, f
+
+
+def table_violations(
+    name: str,
+    table: dict,
+    entries: Iterable[tuple[object, tuple]],
+    values: dict,
+    fits: Optional[Callable[[tuple], bool]] = None,
+    domain: str = "",
+    kind: str = "cell",
+) -> list[Violation]:
+    """Faults of one table against the entries its domain requires.
+
+    ``entries`` yields each key of the domain with the ``(src, tgt)`` its
+    value must have; an empty tuple, or a pair holding None, is not
+    checked.  ``values`` maps declared value ids to their cells.  When the
+    table holds more keys than the domain, the keys failing ``fits`` are
+    extra entries, reported as not being ``domain``.  Each violation has law
+    ``structure:<name>``, the key as its cells, and a detail that reads
+    after the entry's name, as in ``hcomp1[('v', 'idA')]: missing entry``.
+    """
     out: list[Violation] = []
+    law = f"structure:{name}"
 
-    def add(law: str, cells: tuple, detail: str) -> None:
-        out.append(Violation(law, cells, detail))
+    def add(key, detail: str) -> None:
+        out.append(Violation(law, key if type(key) is tuple else (key,), detail))
 
-    for x in B.objects:
-        f = B.id1.get(x)
-        if f is None:
-            add("structure:id1", (x,), "missing identity 1-cell")
-        else:
-            c = B.one(f)
-            if (c.src, c.tgt) != (x, x):
-                add("structure:id1", (x, f), "identity 1-cell has wrong endpoints")
-    for k in B.id1:
-        if k not in B._cache["obj_pos"]:
-            add("structure:id1", (k,), "entry for undeclared object")
-    for c in B.one_cells:
-        a = B.id2.get(c.id)
-        if a is None:
-            add("structure:id2", (c.id,), "missing identity 2-cell")
-        else:
-            t = B.two(a)
-            if (t.src, t.tgt) != (c.id, c.id):
-                add("structure:id2", (c.id, a), "identity 2-cell has wrong boundary")
-    want = {(g.id, f.id) for g in B.one_cells for f in B.one_cells if g.src == f.tgt}
-    have = set(B.hcomp1)
-    for k in sorted(want - have):
-        add("structure:hcomp1", k, "composable pair missing")
-    for k in sorted(have - want):
-        add("structure:hcomp1", k, "non-composable pair present")
-    for (g, f), v in B.hcomp1.items():
-        if (g, f) in want:
-            c = B.one(v)
-            if (c.src, c.tgt) != (B.one(f).src, B.one(g).tgt):
-                add("structure:hcomp1", (g, f, v), "composite has wrong endpoints")
-    want2 = {
-        (b.id, a.id) for b in B.two_cells for a in B.two_cells if a.tgt == b.src
-    }
-    have2 = set(B.vcomp)
-    for k in sorted(want2 - have2):
-        add("structure:vcomp", k, "composable pair missing")
-    for k in sorted(have2 - want2):
-        add("structure:vcomp", k, "non-composable pair present")
-    for (b, a), v in B.vcomp.items():
-        if (b, a) in want2:
-            t = B.two(v)
-            if (t.src, t.tgt) != (B.src1(a), B.tgt1(b)):
-                add("structure:vcomp", (b, a, v), "composite has wrong boundary")
-    wl_want = {
-        (g.id, a.id)
-        for g in B.one_cells
-        for a in B.two_cells
-        if B.one(a.tgt).tgt == g.src
-    }
-    for k in sorted(wl_want - set(B.whisk_left)):
-        add("structure:whisk_left", k, "whiskerable pair missing")
-    for k in sorted(set(B.whisk_left) - wl_want):
-        add("structure:whisk_left", k, "non-whiskerable pair present")
-    for (g, a), v in B.whisk_left.items():
-        if (g, a) in wl_want and (g, B.src1(a)) in B.hcomp1 and (g, B.tgt1(a)) in B.hcomp1:
-            t = B.two(v)
-            if (t.src, t.tgt) != (B.hcomp1[(g, B.src1(a))], B.hcomp1[(g, B.tgt1(a))]):
-                add("structure:whisk_left", (g, a, v), "whisker has wrong boundary")
-    wr_want = {
-        (b.id, f.id)
-        for b in B.two_cells
-        for f in B.one_cells
-        if f.tgt == B.one(b.src).src
-    }
-    for k in sorted(wr_want - set(B.whisk_right)):
-        add("structure:whisk_right", k, "whiskerable pair missing")
-    for k in sorted(set(B.whisk_right) - wr_want):
-        add("structure:whisk_right", k, "non-whiskerable pair present")
-    for (b, f), v in B.whisk_right.items():
-        if (b, f) in wr_want and (B.src1(b), f) in B.hcomp1 and (B.tgt1(b), f) in B.hcomp1:
-            t = B.two(v)
-            if (t.src, t.tgt) != (B.hcomp1[(B.src1(b), f)], B.hcomp1[(B.tgt1(b), f)]):
-                add("structure:whisk_right", (b, f, v), "whisker has wrong boundary")
-    tri = {
-        (h.id, g.id, f.id)
-        for h in B.one_cells
-        for g in B.one_cells
-        for f in B.one_cells
-        if h.src == g.tgt and g.src == f.tgt
-    }
-    for k in sorted(tri - set(B.assoc)):
-        add("structure:assoc", k, "composable triple missing")
-    for k in sorted(set(B.assoc) - tri):
-        add("structure:assoc", k, "non-composable triple present")
-    for (h, g, f), v in B.assoc.items():
-        if (h, g, f) in tri:
-            try:
-                lhs = B.hcomp1[(h, B.hcomp1[(g, f)])]
-                rhs = B.hcomp1[(B.hcomp1[(h, g)], f)]
-            except KeyError:
-                continue
-            t = B.two(v)
-            if (t.src, t.tgt) != (lhs, rhs):
-                add("structure:assoc", (h, g, f, v), "associator has wrong boundary")
-    for c in B.one_cells:
-        r = B.runit.get(c.id)
-        if r is None:
-            add("structure:runit", (c.id,), "missing right unitor")
-        elif (c.id, B.id1.get(c.src)) in B.hcomp1:
-            t = B.two(r)
-            if (t.src, t.tgt) != (B.hcomp1[(c.id, B.id1[c.src])], c.id):
-                add("structure:runit", (c.id, r), "right unitor has wrong boundary")
-        l = B.lunit.get(c.id)
-        if l is None:
-            add("structure:lunit", (c.id,), "missing left unitor")
-        elif (B.id1.get(c.tgt), c.id) in B.hcomp1:
-            t = B.two(l)
-            if (t.src, t.tgt) != (B.hcomp1[(B.id1[c.tgt], c.id)], c.id):
-                add("structure:lunit", (c.id, l), "left unitor has wrong boundary")
+    found = 0
+    for key, want in entries:
+        v = table.get(key)
+        if v is None:
+            add(key, "missing entry")
+            continue
+        found += 1
+        cell = values.get(v)
+        if cell is None:
+            add(key, f"undeclared {kind} {v!r}")
+        elif want and (cell.src, cell.tgt) != want and None not in want:
+            noun = "endpoints" if isinstance(cell, OneCell) else "boundary"
+            add(key, f"value {v!r} has wrong {noun}")
+    if found < len(table) and fits is not None:
+        for key in table:
+            if not fits(key):
+                add(key, f"extra entry: not {domain}")
+    return out
+
+
+def structural_violations(B: FinBicat) -> list[Violation]:
+    """Every totality and typing fault of the tables, table by table.
+
+    Each table must hold exactly the keys of its domain: identities of every
+    object and 1-cell, composites of composable pairs and triples, whiskers
+    of whiskerable pairs, and unitors of every 1-cell.  Each value must have
+    the endpoints or boundary its key dictates.  Construction has already
+    checked that keys and values are declared cells of the right kind.  The
+    domains are walked through by-target indexes, so the cost is linear in
+    the size of the tables.
+    """
+    one, two = B._cache["one_by_id"], B._cache["two_by_id"]
+    H, I1 = B.hcomp1, B.id1
+    into2: dict[str, list[TwoCell]] = {}  # 2-cells by target 1-cell
+    over: dict[str, list[TwoCell]] = {}  # 2-cells by target object
+    for t in B.two_cells:
+        into2.setdefault(t.tgt, []).append(t)
+        over.setdefault(one[t.tgt].tgt, []).append(t)
+
+    out = table_violations("id1", I1, ((x, (x, x)) for x in B.objects), one)
+    out += table_violations("id2", B.id2, ((c.id, (c.id, c.id)) for c in B.one_cells), two)
+    out += table_violations(
+        "hcomp1", H, (((g.id, f.id), (f.src, g.tgt)) for g, f in composable_pairs(B)), one,
+        lambda k: one[k[0]].src == one[k[1]].tgt, "a composable pair",
+    )
+    out += table_violations(
+        "vcomp", B.vcomp,
+        (((b.id, a.id), (a.src, b.tgt)) for b in B.two_cells for a in into2.get(b.src, ())),
+        two, lambda k: two[k[0]].src == two[k[1]].tgt, "a composable pair",
+    )
+    out += table_violations(
+        "whisk_left", B.whisk_left,
+        (((g.id, a.id), (H.get((g.id, a.src)), H.get((g.id, a.tgt))))
+         for g in B.one_cells for a in over.get(g.src, ())),
+        two, lambda k: one[k[0]].src == one[two[k[1]].tgt].tgt, "a whiskerable pair",
+    )
+    out += table_violations(
+        "whisk_right", B.whisk_right,
+        (((b.id, f.id), (H.get((b.src, f.id)), H.get((b.tgt, f.id))))
+         for b in B.two_cells for f in B.into1(one[b.src].src)),
+        two, lambda k: one[two[k[0]].src].src == one[k[1]].tgt, "a whiskerable pair",
+    )
+    out += table_violations(
+        "assoc", B.assoc,
+        (((h.id, g.id, f.id),
+          (H.get((h.id, H.get((g.id, f.id)))), H.get((H.get((h.id, g.id)), f.id))))
+         for h, g in composable_pairs(B) for f in B.into1(g.src)),
+        two,
+        lambda k: one[k[0]].src == one[k[1]].tgt and one[k[1]].src == one[k[2]].tgt,
+        "a composable triple",
+    )
+    out += table_violations(
+        "runit", B.runit, ((c.id, (H.get((c.id, I1.get(c.src))), c.id)) for c in B.one_cells), two,
+    )
+    out += table_violations(
+        "lunit", B.lunit, ((c.id, (H.get((I1.get(c.tgt), c.id)), c.id)) for c in B.one_cells), two,
+    )
     return out
 
 
@@ -831,7 +853,7 @@ def validate_bicat(B: FinBicat) -> ValidationReport:
     first; the algebraic laws are only evaluated when the tables are total
     and well typed, since the law checks index into them freely.
     """
-    violations = _structural_violations(B)
+    violations = structural_violations(B)
     components_id = False
     if not violations:
         components_id = _components_identity(B)

@@ -12,8 +12,7 @@ are identified when a common refinement of their apexes aligns both their
 backward-leg and forward-leg data.  Classes are the connected components of
 this relation, computed by union-find; on lawful inputs the one-step
 relation is already transitive, which the test suite checks on the shipped
-fixtures.  `same_alpha_equivalent` is the short decision rule available when
-two representatives share all data except the forward-leg 2-cell.
+fixtures.
 
 Class-level composition never depends on which representative or which
 filler the search returns first; the searches here scan candidates in
@@ -24,7 +23,7 @@ cell-for-cell, and the independence is separately exercised by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     Assoc,
@@ -45,7 +44,6 @@ from .core import (
     is_invertible2,
     two_cell_inverse,
     vchain,
-    vcompose_all,
     whisker_left,
     whisker_right,
 )
@@ -252,29 +250,6 @@ def reps_equivalent(
     return rep_equivalence_witness(B, W, S1, S2, r1, r2) is not None
 
 
-def same_alpha_equivalent(
-    B: FinBicat, W: WClass, S1: Span, S2: Span, r1: TwoCellRep, r2: TwoCellRep
-) -> bool:
-    """Decision rule for representatives differing only in the forward 2-cell.
-
-    Such representatives are identified iff some ``z`` keeps the backward
-    composite in the class and equalizes the two forward 2-cells by right
-    whiskering.
-    """
-    if (r1.apex, r1.leg1, r1.leg2, r1.alpha) != (r2.apex, r2.leg1, r2.leg2, r2.alpha):
-        raise PreconditionError("representatives do not share their frame data")
-    if r1.beta == r2.beta:
-        return True
-    w1l1 = B.hcomp1[(S1.back, r1.leg1)]
-    for E in B.objects:
-        for z in B.hom1(E, r1.apex):
-            if B.hcomp1[(w1l1, z)] not in W:
-                continue
-            if whisker_right(B, r1.beta, z) == whisker_right(B, r2.beta, z):
-                return True
-    return False
-
-
 @dataclass(frozen=True)
 class TwoCellClass:
     """An equivalence class of representatives for one frame of spans."""
@@ -390,9 +365,6 @@ class Localization:
         if not is_valid_rep(self.base, self.wcls, S1, S2, rep):
             raise StructureError(f"invalid representative {rep!r} for {key!r}")
         raise StructureError(f"representative {rep!r} missing from enumeration")
-
-    def compose_rep_chain(self, factors: list[str]) -> str:
-        return vcompose_all(self.bicat, factors)
 
 
 def _conjugated(B: FinBicat, pre, mid, post) -> str:

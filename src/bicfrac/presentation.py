@@ -3,11 +3,14 @@
 A document describes one bicategory by exhaustive tables, plus optional
 named 1-cell classes and pseudofunctor blocks.  Composition tables are
 arrays of ``[key..., value]`` rows so fixtures stay diffable and can be
-emitted from any language.  Parsing checks that identifiers are unique,
-that every reference is declared and that every table is total on its
-domain, naming the offending entry; the coherence laws are deliberately
-left to `validate_bicat` so a structurally well-formed but lawless
-document can still be loaded and inspected.
+emitted from any language.  Parsing rejects ill-typed documents and
+names the offending entry: identifiers must be unique and declared
+(checked by `FinBicat` construction), and every table must hold exactly
+its domain with values of the right endpoints or boundary (the first fault
+found by `structural_violations`, or `structural_psfun_violations` for a
+pseudofunctor block).  The coherence laws are deliberately left to
+`validate_bicat`, so a well-typed but lawless document can still be loaded
+and inspected.
 
 A pseudofunctor block carries ``source`` and ``target`` fields that are
 either ``"self"`` or a path to another document, resolved relative to the
@@ -23,8 +26,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .core import FinBicat, OneCell, StructureError, TwoCell
-from .psfun import PsFun
+from .core import (
+    FinBicat,
+    OneCell,
+    StructureError,
+    TwoCell,
+    Violation,
+    entry_name,
+    structural_violations,
+)
+from .psfun import PsFun, structural_psfun_violations
 from .wclass import WClass
 
 
@@ -74,16 +85,15 @@ def _rows(doc: dict, key: str, width: int, path: str = "") -> list[tuple[str, ..
     return out
 
 
-def _keyed(
-    rows: list[tuple[str, ...]], nkeys: int, loc: str
-) -> dict[tuple[str, ...], str]:
-    table: dict[tuple[str, ...], str] = {}
-    for row in rows:
-        key = row[:nkeys]
-        if key in table:
-            shown = key[0] if nkeys == 1 else key
-            _fail(f"{loc}[{shown!r}]", "duplicate entry")
-        table[key] = row[nkeys]
+def _table(doc: dict, key: str, nkeys: int, path: str = "") -> dict:
+    """A table keyed by its first ``nkeys`` columns; single keys are bare strings."""
+    loc = f"{path}.{key}" if path else key
+    table: dict = {}
+    for row in _rows(doc, key, nkeys + 1, path):
+        k = row[0] if nkeys == 1 else row[:nkeys]
+        if k in table:
+            _fail(entry_name(loc, k), "duplicate entry")
+        table[k] = row[nkeys]
     return table
 
 
@@ -92,119 +102,37 @@ def _parse_bicat(doc: dict, name: str) -> FinBicat:
     for i, x in enumerate(objects):
         if not isinstance(x, str):
             _fail(f"objects[{i}]", "expected a string")
-    ones = [OneCell(*r) for r in _rows(doc, "one_cells", 3)]
-    twos = [TwoCell(*r) for r in _rows(doc, "two_cells", 3)]
 
-    obj_set = set(objects)
-    if len(obj_set) != len(objects):
-        dup = next(x for i, x in enumerate(objects) if x in objects[:i])
-        _fail(f"objects[{dup!r}]", "duplicate id")
-    one_by: dict[str, OneCell] = {}
-    for c in ones:
-        if c.id in one_by:
-            _fail(f"one_cells[{c.id!r}]", "duplicate id")
-        if c.src not in obj_set:
-            _fail(f"one_cells[{c.id!r}]", f"undeclared object {c.src!r}")
-        if c.tgt not in obj_set:
-            _fail(f"one_cells[{c.id!r}]", f"undeclared object {c.tgt!r}")
-        one_by[c.id] = c
-    two_by: dict[str, TwoCell] = {}
-    for t in twos:
-        if t.id in two_by or t.id in one_by:
-            _fail(f"two_cells[{t.id!r}]", "duplicate id")
-        for leg in (t.src, t.tgt):
-            if leg not in one_by:
-                _fail(f"two_cells[{t.id!r}]", f"undeclared 1-cell {leg!r}")
-        two_by[t.id] = t
-
-    def keyed(key: str, nkeys: int, keykind: dict, valkind: dict) -> dict:
-        table = _keyed(_rows(doc, key, nkeys + 1), nkeys, key)
-        for k, v in table.items():
-            for part in k:
-                if part not in keykind:
-                    _fail(f"{key}[{k if nkeys > 1 else k[0]!r}]",
-                          f"undeclared cell {part!r}")
-            if v not in valkind:
-                _fail(f"{key}[{k if nkeys > 1 else k[0]!r}]",
-                      f"undeclared cell {v!r}")
-        return table
-
-    id1 = {k[0]: v for k, v in _keyed(_rows(doc, "id1", 2), 1, "id1").items()}
-    for k, v in id1.items():
-        if k not in obj_set:
-            _fail(f"id1[{k!r}]", f"undeclared object {k!r}")
-        if v not in one_by:
-            _fail(f"id1[{k!r}]", f"undeclared cell {v!r}")
-    id2 = {k[0]: v for k, v in _keyed(_rows(doc, "id2", 2), 1, "id2").items()}
-    runit = {k[0]: v for k, v in _keyed(_rows(doc, "runit", 2), 1, "runit").items()}
-    lunit = {k[0]: v for k, v in _keyed(_rows(doc, "lunit", 2), 1, "lunit").items()}
-    for key, table in (("id2", id2), ("runit", runit), ("lunit", lunit)):
-        for k, v in table.items():
-            if k not in one_by:
-                _fail(f"{key}[{k!r}]", f"undeclared cell {k!r}")
-            if v not in two_by:
-                _fail(f"{key}[{k!r}]", f"undeclared cell {v!r}")
-
-    hcomp1 = keyed("hcomp1", 2, one_by, one_by)
-    vcomp = keyed("vcomp", 2, two_by, two_by)
-    wl = keyed("whisk_left", 2, {**one_by, **two_by}, two_by)
-    wr = keyed("whisk_right", 2, {**one_by, **two_by}, two_by)
-    assoc = keyed("assoc", 3, one_by, two_by)
     strict = doc.get("strict", False)
     if not isinstance(strict, bool):
         _fail("strict", "expected a boolean")
-
-    # Totality on the composable domain, named per missing entry.
-    for x in objects:
-        if x not in id1:
-            _fail(f"id1[{x!r}]", "missing entry")
-    for c in ones:
-        for key, table in (("id2", id2), ("runit", runit), ("lunit", lunit)):
-            if c.id not in table:
-                _fail(f"{key}[{c.id!r}]", "missing entry")
-    for g in ones:
-        for f in ones:
-            if f.tgt == g.src and (g.id, f.id) not in hcomp1:
-                _fail(f"hcomp1[{(g.id, f.id)}]", "missing entry")
-    for b in twos:
-        for a in twos:
-            if a.tgt == b.src and (b.id, a.id) not in vcomp:
-                _fail(f"vcomp[{(b.id, a.id)}]", "missing entry")
-    for g in ones:
-        for a in twos:
-            if one_by[a.src].tgt == g.src and (g.id, a.id) not in wl:
-                _fail(f"whisk_left[{(g.id, a.id)}]", "missing entry")
-    for b in twos:
-        for f in ones:
-            if f.tgt == one_by[b.src].src and (b.id, f.id) not in wr:
-                _fail(f"whisk_right[{(b.id, f.id)}]", "missing entry")
-    for h in ones:
-        for g in ones:
-            if g.tgt != h.src:
-                continue
-            for f in ones:
-                if f.tgt == g.src and (h.id, g.id, f.id) not in assoc:
-                    _fail(f"assoc[{(h.id, g.id, f.id)}]", "missing entry")
-
     try:
-        return FinBicat(
+        B = FinBicat(
             objects=tuple(objects),
-            one_cells=tuple(ones),
-            two_cells=tuple(twos),
-            id1=id1,
-            id2=id2,
-            hcomp1={(g, f): v for (g, f), v in hcomp1.items()},
-            vcomp={(b, a): v for (b, a), v in vcomp.items()},
-            whisk_left={(g, a): v for (g, a), v in wl.items()},
-            whisk_right={(b, f): v for (b, f), v in wr.items()},
-            assoc={(h, g, f): v for (h, g, f), v in assoc.items()},
-            runit=runit,
-            lunit=lunit,
+            one_cells=tuple(OneCell(*r) for r in _rows(doc, "one_cells", 3)),
+            two_cells=tuple(TwoCell(*r) for r in _rows(doc, "two_cells", 3)),
+            id1=_table(doc, "id1", 1),
+            id2=_table(doc, "id2", 1),
+            hcomp1=_table(doc, "hcomp1", 2),
+            vcomp=_table(doc, "vcomp", 2),
+            whisk_left=_table(doc, "whisk_left", 2),
+            whisk_right=_table(doc, "whisk_right", 2),
+            assoc=_table(doc, "assoc", 3),
+            runit=_table(doc, "runit", 1),
+            lunit=_table(doc, "lunit", 1),
             strict=strict,
             name=name,
         )
     except StructureError as e:
         raise PresentationError(str(e)) from e
+    _fail_first(structural_violations(B))
+    return B
+
+
+def _fail_first(violations: list[Violation], prefix: str = "") -> None:
+    """Raise on the first structural violation, named as its entry."""
+    if violations:
+        _fail(prefix + violations[0].entry, violations[0].detail)
 
 
 def _parse_classes(doc: dict, bicat: FinBicat) -> dict[str, WClass]:
@@ -228,68 +156,6 @@ def _parse_classes(doc: dict, bicat: FinBicat) -> dict[str, WClass]:
             seen.add(m)
         out[cname] = WClass(frozenset(members), cname)
     return out
-
-
-def _psfun_table(block: dict, key: str, nkeys: int, loc: str) -> dict:
-    table = _keyed(_rows(block, key, nkeys + 1, loc), nkeys, f"{loc}.{key}")
-    if nkeys == 1:
-        return {k[0]: v for k, v in table.items()}
-    return dict(table)
-
-
-def _check_psfun_block(
-    loc: str, F: PsFun
-) -> None:
-    src, tgt = F.source, F.target
-    tgt_objs = set(tgt.objects)
-    tgt_one = {c.id for c in tgt.one_cells}
-    tgt_two = {t.id for t in tgt.two_cells}
-    for x in src.objects:
-        if x not in F.f0:
-            _fail(f"{loc}.f0[{x!r}]", "missing entry")
-        if F.f0[x] not in tgt_objs:
-            _fail(f"{loc}.f0[{x!r}]", f"undeclared object {F.f0[x]!r}")
-    for c in src.one_cells:
-        if c.id not in F.f1:
-            _fail(f"{loc}.f1[{c.id!r}]", "missing entry")
-        if F.f1[c.id] not in tgt_one:
-            _fail(f"{loc}.f1[{c.id!r}]", f"undeclared cell {F.f1[c.id]!r}")
-    for t in src.two_cells:
-        if t.id not in F.f2:
-            _fail(f"{loc}.f2[{t.id!r}]", "missing entry")
-        if F.f2[t.id] not in tgt_two:
-            _fail(f"{loc}.f2[{t.id!r}]", f"undeclared cell {F.f2[t.id]!r}")
-    for g in src.one_cells:
-        for f in src.one_cells:
-            if f.tgt != g.src:
-                continue
-            if (g.id, f.id) not in F.psi:
-                _fail(f"{loc}.psi[{(g.id, f.id)}]", "missing entry")
-            if F.psi[(g.id, f.id)] not in tgt_two:
-                _fail(f"{loc}.psi[{(g.id, f.id)}]",
-                      f"undeclared cell {F.psi[(g.id, f.id)]!r}")
-    for x in src.objects:
-        if x not in F.sigma:
-            _fail(f"{loc}.sigma[{x!r}]", "missing entry")
-        if F.sigma[x] not in tgt_two:
-            _fail(f"{loc}.sigma[{x!r}]", f"undeclared cell {F.sigma[x]!r}")
-    for x in F.f0:
-        if x not in set(src.objects):
-            _fail(f"{loc}.f0[{x!r}]", f"undeclared object {x!r}")
-    src_one = {c.id for c in src.one_cells}
-    src_two = {t.id for t in src.two_cells}
-    for x in F.f1:
-        if x not in src_one:
-            _fail(f"{loc}.f1[{x!r}]", f"undeclared cell {x!r}")
-    for x in F.f2:
-        if x not in src_two:
-            _fail(f"{loc}.f2[{x!r}]", f"undeclared cell {x!r}")
-    for g, f in F.psi:
-        if g not in src_one or f not in src_one:
-            _fail(f"{loc}.psi[{(g, f)}]", "undeclared cell in key")
-    for x in F.sigma:
-        if x not in set(src.objects):
-            _fail(f"{loc}.sigma[{x!r}]", f"undeclared object {x!r}")
 
 
 def parse_presentation(
@@ -354,14 +220,14 @@ def parse_presentation(
         F = PsFun(
             source=source,
             target=target,
-            f0=_psfun_table(block, "f0", 1, loc),
-            f1=_psfun_table(block, "f1", 1, loc),
-            f2=_psfun_table(block, "f2", 1, loc),
-            psi=_psfun_table(block, "psi", 2, loc),
-            sigma=_psfun_table(block, "sigma", 1, loc),
+            f0=_table(block, "f0", 1, loc),
+            f1=_table(block, "f1", 1, loc),
+            f2=_table(block, "f2", 1, loc),
+            psi=_table(block, "psi", 2, loc),
+            sigma=_table(block, "sigma", 1, loc),
             name=pname,
         )
-        _check_psfun_block(loc, F)
+        _fail_first(structural_psfun_violations(F), f"{loc}.")
         psfuns[pname] = F
         psfun_refs[pname] = (sref, tref)
 

@@ -26,9 +26,11 @@ from .core import (
     FinBicat,
     Violation,
     PreconditionError,
+    composable_pairs,
     hcompose2,
     inv_cells2,
     is_invertible2,
+    table_violations,
     two_cell_inverse,
     vcompose,
     vcompose_all,
@@ -75,84 +77,51 @@ def identity_psfun(B: FinBicat) -> PsFun:
         f0={x: x for x in B.objects},
         f1={c.id: c.id for c in B.one_cells},
         f2={t.id: t.id for t in B.two_cells},
-        psi={
-            (g.id, f.id): B.id2[B.hcomp1[(g.id, f.id)]]
-            for g in B.one_cells
-            for f in B.one_cells
-            if g.src == f.tgt
-        },
+        psi={(g.id, f.id): B.id2[B.hcomp1[(g.id, f.id)]] for g, f in composable_pairs(B)},
         sigma={x: B.id2[B.id1[x]] for x in B.objects},
         name=f"id[{B.name}]" if B.name else "id",
     )
 
 
-def _structural_psfun_violations(F: PsFun) -> list[Violation]:
+def structural_psfun_violations(F: PsFun) -> list[Violation]:
+    """Every totality and typing fault of a pseudofunctor's tables.
+
+    Each table must hold exactly the keys its source requires, its values
+    must be declared in the target, and each value must have the endpoints
+    or boundary its key dictates: ``F(f): F(x) → F(y)``, ``F(a): F(f) ⇒
+    F(g)``, ``psi[(g, f)]: F(g∘f) ⇒ F(g)∘F(f)`` and ``sigma[x]: F(id_x) ⇒
+    id_F(x)``.  Violations are shaped as in `table_violations`.
+    """
     S, T = F.source, F.target
-    out: list[Violation] = []
-
-    def add(law: str, cells: tuple, detail: str) -> None:
-        out.append(Violation(law, cells, detail))
-
-    tob = {x for x in T.objects}
-    for x in S.objects:
-        y = F.f0.get(x)
-        if y is None or y not in tob:
-            add("psfun:objects", (x,), "object image missing or undeclared")
-    for c in S.one_cells:
-        v = F.f1.get(c.id)
-        if v is None:
-            add("psfun:one-cells", (c.id,), "1-cell image missing")
-            continue
-        try:
-            vc = T.one(v)
-        except Exception:
-            add("psfun:one-cells", (c.id, v), "image is not a 1-cell of the target")
-            continue
-        if (vc.src, vc.tgt) != (F.f0.get(c.src), F.f0.get(c.tgt)):
-            add("psfun:one-cells", (c.id, v), "image has wrong endpoints")
-    for t in S.two_cells:
-        v = F.f2.get(t.id)
-        if v is None:
-            add("psfun:two-cells", (t.id,), "2-cell image missing")
-            continue
-        try:
-            vt = T.two(v)
-        except Exception:
-            add("psfun:two-cells", (t.id, v), "image is not a 2-cell of the target")
-            continue
-        if (vt.src, vt.tgt) != (F.f1.get(t.src), F.f1.get(t.tgt)):
-            add("psfun:two-cells", (t.id, v), "image has wrong boundary")
-    for g in S.one_cells:
-        for f in S.one_cells:
-            if g.src != f.tgt:
-                continue
-            p = F.psi.get((g.id, f.id))
-            if p is None:
-                add("psfun:compositor", (g.id, f.id), "compositor entry missing")
-                continue
-            try:
-                pt = T.two(p)
-            except Exception:
-                add("psfun:compositor", (g.id, f.id, p), "not a target 2-cell")
-                continue
-            want_src = F.f1.get(S.hcomp1[(g.id, f.id)])
-            want_tgt = T.hcomp1.get((F.f1.get(g.id), F.f1.get(f.id)))
-            if (pt.src, pt.tgt) != (want_src, want_tgt):
-                add("psfun:compositor", (g.id, f.id, p), "wrong boundary")
-    for x in S.objects:
-        s = F.sigma.get(x)
-        if s is None:
-            add("psfun:unit-comparison", (x,), "unit comparison missing")
-            continue
-        try:
-            st = T.two(s)
-        except Exception:
-            add("psfun:unit-comparison", (x, s), "not a target 2-cell")
-            continue
-        want_src = F.f1.get(S.id1[x])
-        want_tgt = T.id1.get(F.f0.get(x))
-        if (st.src, st.tgt) != (want_src, want_tgt):
-            add("psfun:unit-comparison", (x, s), "wrong boundary")
+    s_obj, s_one, s_two = (S._cache[k] for k in ("obj_pos", "one_by_id", "two_by_id"))
+    t_obj, t_one, t_two = (T._cache[k] for k in ("obj_pos", "one_by_id", "two_by_id"))
+    f0, f1 = F.f0, F.f1
+    out = table_violations(
+        "f0", f0, ((x, ()) for x in S.objects), t_obj,
+        lambda k: k in s_obj, "a source object", kind="object",
+    )
+    out += table_violations(
+        "f1", f1, ((c.id, (f0.get(c.src), f0.get(c.tgt))) for c in S.one_cells),
+        t_one, lambda k: k in s_one, "a source 1-cell",
+    )
+    out += table_violations(
+        "f2", F.f2, ((t.id, (f1.get(t.src), f1.get(t.tgt))) for t in S.two_cells),
+        t_two, lambda k: k in s_two, "a source 2-cell",
+    )
+    out += table_violations(
+        "psi", F.psi,
+        (((g.id, f.id), (f1.get(S.hcomp1.get((g.id, f.id))),
+                         T.hcomp1.get((f1.get(g.id), f1.get(f.id)))))
+         for g, f in composable_pairs(S)),
+        t_two,
+        lambda k: k[0] in s_one and k[1] in s_one and s_one[k[0]].src == s_one[k[1]].tgt,
+        "a composable pair of the source",
+    )
+    out += table_violations(
+        "sigma", F.sigma,
+        ((x, (f1.get(S.id1.get(x)), T.id1.get(f0.get(x)))) for x in S.objects),
+        t_two, lambda k: k in s_obj, "a source object",
+    )
     return out
 
 
@@ -252,7 +221,7 @@ def validate_psfun(F: PsFun) -> PsFunReport:
     checks, and invertibility failures of the comparison cells short-circuit
     the coherence checks, which compose their inverses.
     """
-    violations = _structural_psfun_violations(F)
+    violations = structural_psfun_violations(F)
     if not violations:
         violations = _psfun_law_violations(F)
     return PsFunReport(not violations, violations)

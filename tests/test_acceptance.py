@@ -16,7 +16,9 @@ from bicfrac.presentation import load_document
 from bicfrac.psfun import identity_psfun, induce_g_tilde
 from bicfrac.wclass import WClass, check_bf, quasi_units, saturate
 
-FIXTURES = sorted(Path("fixtures").glob("*.json"))
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "bicfrac" / "fixtures"
+FIXTURES = sorted(FIXTURE_DIR.glob("*.json"))
+assert FIXTURES, f"no fixture documents in {FIXTURE_DIR}"
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -166,6 +168,7 @@ def test_criterion_6_saturation_laws_on_every_closed_class(capsys):
         Wq = WClass(frozenset(quasi_units(B)), "q")
         if check_bf(B, Wq).passed:
             ok &= saturate(B, Wq).members.members == equivs
+    ok &= checked > 0
     with capsys.disabled():
         verdict(6, ok, f"closure, idempotence, two-out-of-three on {checked} class tables")
 
@@ -175,7 +178,7 @@ def test_criterion_7_identity_and_minimal_universal_maps_are_equivalences(capsys
     for name, doc in load_all().items():
         ok &= is_weak_equivalence(identity_psfun(doc.bicat)).passed
     for name in ("appx-toy", "iso2"):
-        doc = load_document(f"fixtures/{name}.json")
+        doc = load_document(FIXTURE_DIR / f"{name}.json")
         Wq = WClass(frozenset(quasi_units(doc.bicat)), "Wmin")
         U = universal_pseudofunctor(materialize_fractions(doc.bicat, Wq))
         ok &= is_weak_equivalence(U).passed

@@ -1,15 +1,17 @@
 """End-to-end command behavior: exit codes, output formats, flag handling."""
 
 import json
+from pathlib import Path
 
 from bicfrac.cli import run_command
 from bicfrac.presentation import load_document
 from bicfrac.core import validate_bicat
 
-TOY = "fixtures/appx-toy.json"
-LOOPY = "fixtures/appx-toy-loopy.json"
-ISO2 = "fixtures/iso2.json"
-COLLAPSE = "fixtures/collapse-loop.json"
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "bicfrac" / "fixtures"
+TOY = str(FIXTURE_DIR / "appx-toy.json")
+LOOPY = str(FIXTURE_DIR / "appx-toy-loopy.json")
+ISO2 = str(FIXTURE_DIR / "iso2.json")
+COLLAPSE = str(FIXTURE_DIR / "collapse-loop.json")
 
 
 def run(capsys, *argv):
@@ -30,7 +32,7 @@ def test_validate_good_document(capsys):
 
 
 def test_validate_missing_file_is_usage_error(capsys):
-    code, out = run(capsys, "validate", "fixtures/no-such-doc.json")
+    code, out = run(capsys, "validate", str(FIXTURE_DIR / "no-such-doc.json"))
     assert code == 2
 
 
@@ -38,9 +40,31 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run_command(["validate", TOY, "--bogus-flag"]) == 2
 
 
-def test_jobs_must_be_positive(capsys):
-    code, _ = run(capsys, "check-bf", TOY, "--jobs", "0")
-    assert code == 2
+def toy_with_vcomp(tmp_path, key: list[str], value: str) -> str:
+    """A copy of the toy document with one ``vcomp`` value replaced."""
+    data = json.loads(Path(TOY).read_text(encoding="utf-8"))
+    next(r for r in data["vcomp"] if r[:2] == key)[2] = value
+    path = tmp_path / "toy-edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_ill_typed_document_is_a_document_error(capsys, tmp_path):
+    broken = toy_with_vcomp(tmp_path, ["loop", "loop"], "iv")  # wrong boundary
+    for argv in (["validate"], ["check-bf", "--class", "W"], ["localize", "--class", "W"]):
+        code = run_command([argv[0], broken, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("document error: vcomp[('loop', 'loop')]: ")
+        assert "Traceback" not in captured.err
+
+
+def test_well_typed_but_lawless_document_fails_validation(capsys, tmp_path):
+    lawless = toy_with_vcomp(tmp_path, ["loop", "iB"], "iB")  # breaks loop ⊙ id = loop
+    code, out = run(capsys, "validate", lawless)
+    assert code == 1
+    assert "hom-category:unit" in out
 
 
 def test_check_bf_pass_and_fail(capsys):

@@ -179,3 +179,26 @@ def test_validator_catches_missing_table_entry(toy):
     del hc[("idB", "v")]
     rep = validate_bicat(dataclasses.replace(toy, hcomp1=hc))
     assert not rep.passed
+
+
+def test_construction_errors_name_the_entry(toy):
+    with pytest.raises(StructureError, match=r"^one_cells\['v'\]: duplicate id$"):
+        dataclasses.replace(toy, one_cells=toy.one_cells + toy.one_cells[-1:])
+    hc = dict(toy.hcomp1)
+    hc[("v", "ghost")] = "v"
+    with pytest.raises(StructureError, match=r"^hcomp1\[\('v', 'ghost'\)\]: undeclared cell 'ghost'$"):
+        dataclasses.replace(toy, hcomp1=hc)
+
+
+def test_structural_violations_name_each_faulty_entry(toy):
+    from bicfrac.core import structural_violations
+
+    assert structural_violations(toy) == []
+    hc = dict(toy.hcomp1)
+    hc[("v", "idA")] = "idB"  # wrong endpoints
+    hc[("v", "v")] = "v"  # not composable
+    del hc[("idB", "v")]
+    found = {(v.entry, v.detail) for v in structural_violations(dataclasses.replace(toy, hcomp1=hc))}
+    assert ("hcomp1[('v', 'idA')]", "value 'idB' has wrong endpoints") in found
+    assert ("hcomp1[('v', 'v')]", "extra entry: not a composable pair") in found
+    assert ("hcomp1[('idB', 'v')]", "missing entry") in found

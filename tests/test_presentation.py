@@ -1,6 +1,10 @@
 """Parsing, exporting, and round-tripping the JSON document format."""
 
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,9 @@ from bicfrac.presentation import (
 )
 from bicfrac.psfun import identity_psfun, validate_psfun
 from bicfrac.wclass import check_bf
+
+
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "bicfrac" / "fixtures"
 
 
 def roundtrip(pres: Presentation) -> Presentation:
@@ -55,13 +62,13 @@ def test_materialized_localization_roundtrips():
 
 
 def test_fixture_documents_resolve_psfun_references():
-    doc = load_document("fixtures/collapse-loop.json")
+    doc = load_document(FIXTURE_DIR / "collapse-loop.json")
     F = doc.psfuns["collapse"]
     assert validate_psfun(F).passed
     B = appendix_toy()
     assert F == collapse_loop(B, toyq())
 
-    doc = load_document("fixtures/point-into-discrete2.json")
+    doc = load_document(FIXTURE_DIR / "point-into-discrete2.json")
     F = doc.psfuns["point"]
     assert validate_psfun(F).passed
     from bicfrac.builders import discrete2, trivial_one
@@ -70,12 +77,12 @@ def test_fixture_documents_resolve_psfun_references():
 
 
 def test_all_shipped_fixtures_parse_and_validate():
-    from pathlib import Path
-
     from bicfrac.core import validate_bicat
 
-    for path in sorted(Path("fixtures").glob("*.json")):
-        doc = load_document(str(path))
+    paths = sorted(FIXTURE_DIR.glob("*.json"))
+    assert paths, f"no fixture documents in {FIXTURE_DIR}"
+    for path in paths:
+        doc = load_document(path)
         assert validate_bicat(doc.bicat).passed, path
         for F in doc.psfuns.values():
             assert validate_psfun(F).passed, path
@@ -95,6 +102,11 @@ def mutate(edit):
     return json.dumps(data)
 
 
+def set_row(rows, key, value):
+    """Replace the value of the table row whose key columns are ``key``."""
+    next(r for r in rows if r[:-1] == key)[-1] = value
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -106,10 +118,30 @@ def mutate(edit):
         (lambda d: d["id1"].pop(), "missing entry"),
         (lambda d: d["psfuns"][0]["f1"].pop(), "missing entry"),
         (lambda d: d["classes"].update(W=["v", "nope"]), "undeclared"),
+        (
+            lambda d: set_row(d["hcomp1"], ["v", "idA"], "idB"),
+            "hcomp1[('v', 'idA')]: value 'idB' has wrong endpoints",
+        ),
+        (
+            lambda d: set_row(d["vcomp"], ["loop", "loop"], "iv"),
+            "vcomp[('loop', 'loop')]: value 'iv' has wrong boundary",
+        ),
+        (
+            lambda d: d["hcomp1"].append(["v", "v", "v"]),
+            "hcomp1[('v', 'v')]: extra entry: not a composable pair",
+        ),
+        (
+            lambda d: set_row(d["psfuns"][0]["psi"], ["idB", "v"], "iB"),
+            "psfuns[0].psi[('idB', 'v')]: value 'iB' has wrong boundary",
+        ),
+        (
+            lambda d: d["psfuns"][0]["f1"].append(["ghost", "v"]),
+            "psfuns[0].f1['ghost']: extra entry: not a source 1-cell",
+        ),
     ],
 )
 def test_parser_names_the_broken_entry(edit, fragment):
-    with pytest.raises(PresentationError, match=fragment):
+    with pytest.raises(PresentationError, match=re.escape(fragment)):
         parse_presentation(mutate(edit))
 
 
@@ -126,3 +158,11 @@ def test_external_psfun_reference_requires_file_location():
     text = fixture_text("collapse-loop")
     with pytest.raises(PresentationError, match="file location"):
         parse_presentation(text)
+
+
+def test_committed_fixtures_match_the_builders():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_fixtures.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--check"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
