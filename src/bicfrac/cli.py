@@ -30,7 +30,7 @@ from .conditions import (
     check_X,
     cross_validate_theorems,
 )
-from .core import FinBicat, PreconditionError, validate_bicat
+from .core import PreconditionError, validate_bicat
 from .fractions import LocalizationError, materialize_fractions, universal_pseudofunctor
 from .presentation import (
     Presentation,
@@ -39,7 +39,7 @@ from .presentation import (
     load_document,
     parse_presentation,
 )
-from .psfun import PsFun, identity_psfun, validate_psfun
+from .psfun import identity_psfun, validate_psfun
 from .wclass import WClass, check_bf, saturate
 
 
@@ -65,12 +65,6 @@ def load_fixture(name: str) -> Presentation:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--strict-fast-path",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="honor a declared strict flag instead of taking the general path",
-    )
-    common.add_argument(
         "--format",
         choices=("text", "machine"),
         default=argparse.SUPPRESS,
@@ -81,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bicfrac",
         description="Finite bicategories, fraction localizations and transfer conditions.",
     )
-    p.set_defaults(strict_fast_path=False, format="text")
+    p.set_defaults(format="text")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", parents=[common], help="run the law checker on a document")
@@ -128,25 +122,6 @@ def _load(path: str) -> Presentation:
     return load_document(p)
 
 
-def _strip(B: FinBicat, honor: bool, memo: dict) -> FinBicat:
-    if honor:
-        return B
-    key = id(B)
-    if key not in memo:
-        memo[key] = B.without_strict_flag()
-    return memo[key]
-
-
-def _strip_psfun(F: PsFun, honor: bool, memo: dict) -> PsFun:
-    if honor:
-        return F
-    return PsFun(
-        source=_strip(F.source, honor, memo),
-        target=_strip(F.target, honor, memo),
-        f0=F.f0, f1=F.f1, f2=F.f2, psi=F.psi, sigma=F.sigma, name=F.name,
-    )
-
-
 def _pick_class(classes: dict[str, WClass], name: Optional[str], where: str) -> WClass:
     if name is not None:
         if name not in classes:
@@ -191,8 +166,7 @@ def _show_report(r: ConditionReport, out: list[str]) -> None:
 
 def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     pres = _load(args.file)
-    memo: dict = {}
-    B = _strip(pres.bicat, args.strict_fast_path, memo)
+    B = pres.bicat
     rep = validate_bicat(B)
     text = [f"validate {args.file}"]
     payload: dict = {
@@ -217,7 +191,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
             text.append(f"    {v.law} at {v.cells}: {v.detail}")
     ok = rep.passed
     for name, F in pres.psfuns.items():
-        frep = validate_psfun(_strip_psfun(F, args.strict_fast_path, memo))
+        frep = validate_psfun(F)
         payload["psfuns"][name] = {
             "passed": frep.passed,
             "violations": [
@@ -239,7 +213,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_check_bf(args) -> tuple[int, dict, list[str]]:
     pres = _load(args.file)
-    B = _strip(pres.bicat, args.strict_fast_path, {})
+    B = pres.bicat
     W = _pick_class(pres.classes, args.wname, args.file)
     rep = check_bf(B, W)
     text = [f"check-bf {args.file} --class {W.name}"]
@@ -273,7 +247,7 @@ def _cmd_check_bf(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
     pres = _load(args.file)
-    B = _strip(pres.bicat, args.strict_fast_path, {})
+    B = pres.bicat
     W = _pick_class(pres.classes, args.wname, args.file)
     res = saturate(B, W)
     members = sorted(res.members.members, key=B.pos1)
@@ -300,9 +274,8 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_localize(args) -> tuple[int, dict, list[str]]:
     pres = _load(args.file)
-    B = _strip(pres.bicat, args.strict_fast_path, {})
     W = _pick_class(pres.classes, args.wname, args.file)
-    loc = materialize_fractions(B, W)
+    loc = materialize_fractions(pres.bicat, W)
     L = loc.bicat
     text = [f"localize {args.file} --class {W.name}"]
     text.append(
@@ -333,9 +306,7 @@ def _families(which: str) -> list[str]:
 
 def _resolve_check(args, pres: Presentation):
     """The pseudofunctor and classes a ``check`` invocation refers to."""
-    memo: dict = {}
-    honor = args.strict_fast_path
-    B = _strip(pres.bicat, honor, memo)
+    B = pres.bicat
     name = args.psfun
     if args.wsrc is not None:
         w_src = _pick_class(pres.classes, args.wsrc, args.file)
@@ -354,7 +325,7 @@ def _resolve_check(args, pres: Presentation):
         F = universal_pseudofunctor(loc)
         tgt_classes = None  # transported below
     elif name in pres.psfuns:
-        F = _strip_psfun(pres.psfuns[name], honor, memo)
+        F = pres.psfuns[name]
         sref, tref = pres.psfun_refs[name]
         tgt_classes = pres.classes if tref == "self" else pres.ref_docs[tref].classes
     else:
@@ -435,7 +406,6 @@ def _cmd_cross_validate(args) -> tuple[int, dict, list[str]]:
         pres = _load(fname)
         ns = argparse.Namespace(
             file=fname, psfun=args.psfun, wsrc=args.wsrc, wtgt=args.wtgt,
-            strict_fast_path=args.strict_fast_path,
         )
         F, w_src, target_class = _resolve_check(ns, pres)
         if w_src is None:
@@ -461,9 +431,9 @@ def _cmd_cross_validate(args) -> tuple[int, dict, list[str]]:
     return (0 if all_passed else 1), payload, text
 
 
-def _demo_verdicts(pres: Presentation, honor: bool) -> dict[str, bool]:
+def _demo_verdicts(pres: Presentation) -> dict[str, bool]:
     """BF, strict-family and single-class verdicts for one toy variant."""
-    B = _strip(pres.bicat, honor, {})
+    B = pres.bicat
     W = pres.classes["W"]
     out = {"bf": check_bf(B, W).passed}
     loc = materialize_fractions(B, W)
@@ -479,8 +449,7 @@ def _demo_verdicts(pres: Presentation, honor: bool) -> dict[str, bool]:
 def _cmd_demo(args) -> tuple[int, dict, list[str]]:
     pres = load_fixture("appx-toy")
     other = load_fixture("appx-toy-loopy")
-    honor = args.strict_fast_path
-    B = _strip(pres.bicat, honor, {})
+    B = pres.bicat
     W = pres.classes["W"]
 
     facts: list[tuple[str, bool, str]] = []
@@ -507,7 +476,7 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
         all(r.holds for r in b_reports),
         "",
     ))
-    same = _demo_verdicts(pres, honor) == _demo_verdicts(other, honor)
+    same = _demo_verdicts(pres) == _demo_verdicts(other)
     facts.append((
         "verdicts identical on both loop-monoid variants",
         same,

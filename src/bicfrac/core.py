@@ -17,7 +17,7 @@ two possible whisker orders agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 
@@ -75,8 +75,7 @@ class FinBicat:
     - ``lunit[f]``             left unitor ``id∘f ⇒ f``
 
     ``strict`` declares that every associator and unitor component is an
-    identity 2-cell; the validator verifies the claim, and evaluation uses it
-    to short-circuit inverse searches.
+    identity 2-cell; the validator verifies the claim.
 
     Declaration order of objects, 1-cells and 2-cells is the canonical order
     used whenever a search must return a least witness.
@@ -215,9 +214,6 @@ class FinBicat:
         return all(t.src == t.tgt for t in self.two_cells) and all(
             self.id2.get(t.src) == t.id for t in self.two_cells
         )
-
-    def without_strict_flag(self) -> "FinBicat":
-        return replace(self, strict=False, _cache={}) if self.strict else self
 
 
 # -- elementary operations -------------------------------------------------
@@ -536,25 +532,18 @@ def eval_pasting(B: FinBicat, e: PastingExpr) -> str:
         except KeyError:
             raise TypingError(f"no associator for {(e.h, e.g, e.f)!r}") from None
     if isinstance(e, AssocInv):
-        s, _ = infer_boundary(B, e)
-        if B.strict:
-            return B.id2[s]
         return _inverse_or_raise(B, eval_pasting(B, Assoc(e.h, e.g, e.f)), e)
     if isinstance(e, RUnit):
         infer_boundary(B, e)
         return B.runit[e.cell]
     if isinstance(e, RUnitInv):
-        s, _ = infer_boundary(B, e)
-        if B.strict:
-            return B.id2[s]
+        infer_boundary(B, e)
         return _inverse_or_raise(B, B.runit[e.cell], e)
     if isinstance(e, LUnit):
         infer_boundary(B, e)
         return B.lunit[e.cell]
     if isinstance(e, LUnitInv):
-        s, _ = infer_boundary(B, e)
-        if B.strict:
-            return B.id2[s]
+        infer_boundary(B, e)
         return _inverse_or_raise(B, B.lunit[e.cell], e)
     if isinstance(e, Inv):
         return _inverse_or_raise(B, eval_pasting(B, e.expr), e)

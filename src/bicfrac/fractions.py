@@ -39,10 +39,12 @@ from .core import (
     TwoCell,
     WhiskL,
     WhiskR,
+    _components_identity,
     eval_pasting,
     inv_cells2,
     is_invertible2,
     two_cell_inverse,
+    validate_bicat,
     vchain,
     whisker_left,
     whisker_right,
@@ -367,10 +369,6 @@ class Localization:
         raise StructureError(f"representative {rep!r} missing from enumeration")
 
 
-def _conjugated(B: FinBicat, pre, mid, post) -> str:
-    return eval_pasting(B, vchain(pre, mid, post))
-
-
 def materialize_fractions(
     B: FinBicat,
     W: WClass,
@@ -381,12 +379,18 @@ def materialize_fractions(
 ) -> Localization:
     """Construct the localization of ``B`` at ``W`` as explicit tables.
 
-    Requires the closure axioms for ``W`` (checked up front unless
-    ``require_axioms`` is disabled for callers that already did).  The
-    resulting bicategory is validated exhaustively; a failure raises
-    `LocalizationError` carrying the validation report.
+    Requires a lawful base and the closure axioms for ``W`` (both checked up
+    front, raising `PreconditionError`, unless ``require_axioms`` is
+    disabled for callers that already did).  Each associator and unitor is
+    the least invertible class of its frame.  The resulting bicategory is
+    validated exhaustively; a failure raises `LocalizationError` carrying
+    the validation report.
     """
     if require_axioms:
+        base = validate_bicat(B)
+        if not base.passed:
+            laws = ", ".join(sorted(base.laws_failed()))
+            raise PreconditionError(f"base bicategory violates: {laws}")
         bf = check_bf(B, W)
         if not bf.passed:
             bad = ", ".join(k for k, v in bf.verdicts.items() if not v.holds)
@@ -664,26 +668,31 @@ def materialize_fractions(
                 continue
             whisk_right[(c.id, span_id(f))] = whisk_right_class(c, f)
 
-    class_order = [t.id for t in two_cells]
+    # Inverses depend only on id2 and vcomp, so the coherence tables can be
+    # filled in from the built localization's own inverse search.
+    mat = FinBicat(
+        objects=B.objects,
+        one_cells=one_cells,
+        two_cells=tuple(two_cells),
+        id1=id1,
+        id2=id2,
+        hcomp1=hcomp1,
+        vcomp=vcomp,
+        whisk_left=whisk_left,
+        whisk_right=whisk_right,
+        assoc={},
+        runit={},
+        lunit={},
+        name=name or f"{B.name}[{W.name or 'W'}^-1]",
+    )
 
-    def connecting_class(src_sid: str, tgt_sid: str, context: str) -> str:
+    def invertible_class(src_sid: str, tgt_sid: str, context: str) -> str:
         """Least class in the frame that is invertible for the built tables."""
-        for cid in class_order:
-            t = classes[cid]
-            if (span_id(t.src), span_id(t.tgt)) != (src_sid, tgt_sid):
-                continue
-            for did in class_order:
-                u = classes[did]
-                if (span_id(u.src), span_id(u.tgt)) != (tgt_sid, src_sid):
-                    continue
-                if (
-                    vcomp[(did, cid)] == id2[src_sid]
-                    and vcomp[(cid, did)] == id2[tgt_sid]
-                ):
-                    return cid
-        raise LocalizationError(f"no invertible class for {context}: {src_sid!r} ⇒ {tgt_sid!r}")
+        found = inv_cells2(mat, src_sid, tgt_sid)
+        if not found:
+            raise LocalizationError(f"no invertible class for {context}: {src_sid!r} ⇒ {tgt_sid!r}")
+        return found[0]
 
-    assoc: dict[tuple[str, str, str], str] = {}
     for hs in spans:
         for gs in spans:
             if hs.src_obj(B) != gs.tgt_obj(B):
@@ -695,47 +704,20 @@ def materialize_fractions(
                 gf = hcomp1[(span_id(gs), span_id(fs))]
                 lhs = hcomp1[(span_id(hs), gf)]
                 rhs = hcomp1[(hg, span_id(fs))]
-                assoc[(span_id(hs), span_id(gs), span_id(fs))] = connecting_class(
+                mat.assoc[(span_id(hs), span_id(gs), span_id(fs))] = invertible_class(
                     lhs, rhs, "associator"
                 )
-    runit: dict[str, str] = {}
-    lunit: dict[str, str] = {}
     for s in spans:
         sid = span_id(s)
-        runit[sid] = connecting_class(
+        mat.runit[sid] = invertible_class(
             hcomp1[(sid, id1[s.src_obj(B)])], sid, "right unitor"
         )
-        lunit[sid] = connecting_class(
+        mat.lunit[sid] = invertible_class(
             hcomp1[(id1[s.tgt_obj(B)], sid)], sid, "left unitor"
         )
-
-    mat = FinBicat(
-        objects=B.objects,
-        one_cells=one_cells,
-        two_cells=tuple(two_cells),
-        id1=id1,
-        id2=id2,
-        hcomp1=hcomp1,
-        vcomp=vcomp,
-        whisk_left=whisk_left,
-        whisk_right=whisk_right,
-        assoc=assoc,
-        runit=runit,
-        lunit=lunit,
-        strict=False,
-        name=name or f"{B.name}[{W.name or 'W'}^-1]",
-    )
-    components_id = all(
-        mat.two(v).src == mat.two(v).tgt and mat.id2[mat.two(v).src] == v
-        for table in (mat.assoc, mat.runit, mat.lunit)
-        for v in table.values()
-    )
-    if components_id:
-        mat.strict = True
+    mat.strict = _components_identity(mat)
 
     if validate:
-        from .core import validate_bicat
-
         report = validate_bicat(mat)
         if not report.passed:
             laws = sorted(report.laws_failed())

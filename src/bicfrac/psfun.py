@@ -51,15 +51,6 @@ class PsFun:
     sigma: dict[str, str]
     name: str = field(default="", compare=False)
 
-    def apply0(self, obj: str) -> str:
-        return self.f0[obj]
-
-    def apply1(self, f: str) -> str:
-        return self.f1[f]
-
-    def apply2(self, a: str) -> str:
-        return self.f2[a]
-
 
 @dataclass
 class PsFunReport:

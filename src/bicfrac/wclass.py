@@ -176,7 +176,9 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
     """Decide each closure axiom for ``W`` by exhaustive search.
 
     Verdicts record the first counterexample in declaration order, or a
-    sample witness for the existential axioms.
+    sample witness for the existential axioms.  The coherence laws of ``B``
+    are not checked here: the verdicts presume a lawful base, which
+    `validate_bicat` decides.
     """
     verdicts: dict[str, AxiomVerdict] = {}
 

@@ -1,9 +1,15 @@
 """Spans, representative classes and the materialized fraction bicategory."""
 
+import dataclasses
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from bicfrac.builders import appendix_toy, arrow2, iso2, iso2_classes, toy_classes, toyq
-from bicfrac.core import PreconditionError, validate_bicat
+from bicfrac.core import FinBicat, PreconditionError, validate_bicat
 from bicfrac.fractions import (
     LocalizationError,
     Span,
@@ -16,7 +22,11 @@ from bicfrac.fractions import (
     span_is_equivalence,
     universal_pseudofunctor,
 )
-from bicfrac.wclass import WClass
+from bicfrac.presentation import load_document
+from bicfrac.wclass import WClass, check_bf
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE_DIR = ROOT / "src" / "bicfrac" / "fixtures"
 
 
 @pytest.fixture
@@ -84,6 +94,11 @@ def test_materialized_localization_shape(toy, classes):
 def test_localization_requires_the_axioms(toy, classes):
     with pytest.raises((LocalizationError, PreconditionError)):
         materialize_fractions(toy, classes["WnoId"])
+    vcomp = dict(toy.vcomp)
+    vcomp[("loop", "iB")] = "iB"  # well typed, but loop ⊙ id is no longer loop
+    lawless = dataclasses.replace(toy, vcomp=vcomp, _cache={})
+    with pytest.raises(PreconditionError, match="hom-category:unit"):
+        materialize_fractions(lawless, classes["W"])
 
 
 def test_localization_accessors(toy, classes):
@@ -120,3 +135,60 @@ def test_other_fixture_localizations_validate():
     q = toyq()
     loc = materialize_fractions(q, WClass.of(q, ["idA", "idB", "v"], "W"))
     assert validate_bicat(loc.bicat).passed
+
+
+def bench_corpus():
+    """The seeded instance families of ``bench/corpus.py``."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up here
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def reference_coherence_cell(L: FinBicat, src: str, tgt: str):
+    """The least class ``src ⇒ tgt`` with a two-sided inverse, by brute force.
+
+    Scans ``L.two_cells`` in declaration order for the frame and its reverse
+    and composes through ``L.vcomp`` only, without any index of ``L``.
+    """
+    frame = [t.id for t in L.two_cells if (t.src, t.tgt) == (src, tgt)]
+    reverse = [t.id for t in L.two_cells if (t.src, t.tgt) == (tgt, src)]
+    for c in frame:
+        for d in reverse:
+            if L.vcomp[(d, c)] == L.id2[src] and L.vcomp[(c, d)] == L.id2[tgt]:
+                return c
+    return None
+
+
+def assert_reference_coherence_cells(B: FinBicat, W: WClass) -> None:
+    L = materialize_fractions(B, W, validate=False).bicat
+    H = L.hcomp1
+    for (h, g, f), v in L.assoc.items():
+        assert v == reference_coherence_cell(L, H[(h, H[(g, f)])], H[(H[(h, g)], f)]), (h, g, f)
+    for c in L.one_cells:
+        f = c.id
+        assert L.runit[f] == reference_coherence_cell(L, H[(f, L.id1[c.src])], f), f
+        assert L.lunit[f] == reference_coherence_cell(L, H[(L.id1[c.tgt], f)], f), f
+
+
+def test_coherence_cells_match_the_reference_on_every_fixture_class():
+    checked = []
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        doc = load_document(str(path))
+        for cname, W in doc.classes.items():
+            if check_bf(doc.bicat, W).passed:
+                assert_reference_coherence_cells(doc.bicat, W)
+                checked.append(f"{path.stem}:{cname}")
+    assert len(checked) == 13, checked
+
+
+@pytest.mark.parametrize("family,size", [
+    ("chain", 2), ("chain", 3), ("chain", 4),
+    ("cyclic_loop", 2), ("cyclic_loop", 3), ("cyclic_loop", 4),
+])
+def test_coherence_cells_match_the_reference_on_generated_instances(family, size):
+    inst = getattr(bench_corpus(), family)(size, random.Random(size))
+    B = inst.build()
+    for cname, members in inst.classes.items():
+        assert_reference_coherence_cells(B, WClass.of(B, members, cname))
