@@ -7,8 +7,11 @@ Nothing is computed lazily from generators; the tables *are* the bicategory.
 Construction rejects undeclared cells; `structural_violations` checks that
 every table is total and well typed, and `validate_bicat` runs that check
 and then the axioms exhaustively.  `eval_pasting` evaluates formal pasting
-expressions against the tables, and small search utilities
-(`two_cell_inverse`, `internal_equivalence_witness`) decide invertibility.
+expressions against the tables; its leaves are table lookups (`assoc_cell`,
+`lwhisker_cell`, `inverse_cell`, ...) and its vertical composites go through
+`vfold`, which code with a fixed chain of factors calls directly.  Small
+search utilities (`two_cell_inverse`, `internal_equivalence_witness`) decide
+invertibility.
 
 Derived composition of 2-cells (`hcompose2`) is defined from the whiskering
 tables; the middle-four interchange law, checked by the validator, makes the
@@ -159,17 +162,19 @@ class FinBicat:
                         raise StructureError(f"{entry_name(name, k)}: undeclared {noun} {p!r}")
                 if v not in values:
                     raise StructureError(f"{entry_name(name, k)}: undeclared cell {v!r}")
-        c = self._cache
-        c.clear()
-        c["one_by_id"] = one_by_id
-        c["two_by_id"] = two_by_id
-        c["obj_pos"] = obj_pos
-        c["one_pos"] = {x.id: i for i, x in enumerate(self.one_cells)}
-        c["two_pos"] = {x.id: i for i, x in enumerate(self.two_cells)}
-        c["homs"] = homs
-        c["into"] = into
-        c["frames"] = frames
-        c["inverse"] = {}
+        # A fresh dict: `dataclasses.replace` hands the original's cache to
+        # the copy, and refilling that one would make it describe the copy.
+        self._cache = {
+            "one_by_id": one_by_id,
+            "two_by_id": two_by_id,
+            "obj_pos": obj_pos,
+            "one_pos": {x.id: i for i, x in enumerate(self.one_cells)},
+            "two_pos": {x.id: i for i, x in enumerate(self.two_cells)},
+            "homs": homs,
+            "into": into,
+            "frames": frames,
+            "inverse": {},
+        }
 
     # -- lookups ----------------------------------------------------------
 
@@ -486,11 +491,85 @@ def infer_boundary(B: FinBicat, e: PastingExpr) -> tuple[str, str]:
     raise TypingError(f"unknown pasting node {e!r}")
 
 
-def _inverse_or_raise(B: FinBicat, a: str, ctx: PastingExpr) -> str:
+# Table lookups for the factors of a pasting chain.  Each performs the
+# checks its `eval_pasting` node performs and raises the same exception, so a
+# fixed chain can be evaluated without building a tree.
+
+
+def inverse_cell(B: FinBicat, a: str) -> str:
+    """The vertical inverse of ``a``; `InvertibilityError` when there is none."""
     inv = two_cell_inverse(B, a)
     if inv is None:
-        raise InvertibilityError(f"2-cell {a!r} is not invertible in {ctx!r}")
+        raise InvertibilityError(f"2-cell {a!r} is not invertible")
     return inv
+
+
+def assoc_cell(B: FinBicat, h: str, g: str, f: str) -> str:
+    """The associator ``h∘(g∘f) ⇒ (h∘g)∘f``.
+
+    Raises `TypingError` unless ``g∘f``, ``h∘g``, ``h∘(g∘f)`` and
+    ``(h∘g)∘f`` are all composites in the table, as `infer_boundary` does.
+    """
+    H = B.hcomp1
+    gf, hg = H.get((g, f)), H.get((h, g))
+    if gf is None or hg is None or (h, gf) not in H or (hg, f) not in H:
+        raise TypingError(f"1-cells {(h, g, f)!r} not composable in an associator")
+    try:
+        return B.assoc[(h, g, f)]
+    except KeyError:
+        raise TypingError(f"no associator for {(h, g, f)!r}") from None
+
+
+def assoc_inv_cell(B: FinBicat, h: str, g: str, f: str) -> str:
+    """The inverse associator ``(h∘g)∘f ⇒ h∘(g∘f)``."""
+    return inverse_cell(B, assoc_cell(B, h, g, f))
+
+
+def runit_cell(B: FinBicat, f: str) -> str:
+    """The right unitor ``f∘id ⇒ f``; `TypingError` when ``f∘id`` is missing."""
+    if (f, B.id1[B.one(f).src]) not in B.hcomp1:
+        raise TypingError(f"1-cell {f!r} has no composite with its source identity")
+    return B.runit[f]
+
+
+def lunit_cell(B: FinBicat, f: str) -> str:
+    """The left unitor ``id∘f ⇒ f``; `TypingError` when ``id∘f`` is missing."""
+    if (B.id1[B.one(f).tgt], f) not in B.hcomp1:
+        raise TypingError(f"1-cell {f!r} has no composite with its target identity")
+    return B.lunit[f]
+
+
+def lwhisker_cell(B: FinBicat, g: str, a: str) -> str:
+    """``i_g ∗ a``; `TypingError` when the pair is not whiskerable."""
+    try:
+        return B.whisk_left[(g, a)]
+    except KeyError:
+        raise TypingError(f"left whiskering undefined: ({g!r}, {a!r})") from None
+
+
+def rwhisker_cell(B: FinBicat, a: str, f: str) -> str:
+    """``a ∗ i_f``; `TypingError` when the pair is not whiskerable."""
+    try:
+        return B.whisk_right[(a, f)]
+    except KeyError:
+        raise TypingError(f"right whiskering undefined: ({a!r}, {f!r})") from None
+
+
+def vfold(B: FinBicat, first: str, *rest: str) -> str:
+    """Vertical composite of 2-cells given in application order.
+
+    Each step checks ``tgt1(u) == src1(l)`` and raises `TypingError` on a
+    mismatch, as a `VComp` node does.
+    """
+    out = first
+    tgt = B.two(first).tgt
+    for nxt in rest:
+        t = B.two(nxt)
+        if t.src != tgt:
+            raise TypingError(f"vertical mismatch: {out!r} ends at {tgt!r}, {nxt!r} starts at {t.src!r}")
+        out = vcompose(B, nxt, out)
+        tgt = t.tgt
+    return out
 
 
 def eval_pasting(B: FinBicat, e: PastingExpr) -> str:
@@ -502,11 +581,7 @@ def eval_pasting(B: FinBicat, e: PastingExpr) -> str:
         B.one(e.cell)
         return B.id2[e.cell]
     if isinstance(e, VComp):
-        u = eval_pasting(B, e.upper)
-        l = eval_pasting(B, e.lower)
-        if B.tgt1(u) != B.src1(l):
-            raise TypingError(f"vertical mismatch in {e!r}")
-        return vcompose(B, l, u)
+        return vfold(B, eval_pasting(B, e.upper), eval_pasting(B, e.lower))
     if isinstance(e, HComp):
         lv = eval_pasting(B, e.left)
         rv = eval_pasting(B, e.right)
@@ -514,39 +589,23 @@ def eval_pasting(B: FinBicat, e: PastingExpr) -> str:
             raise TypingError(f"horizontal mismatch in {e!r}")
         return hcompose2(B, lv, rv)
     if isinstance(e, WhiskL):
-        v = eval_pasting(B, e.expr)
-        try:
-            return whisker_left(B, e.cell, v)
-        except CompositionError as exc:
-            raise TypingError(str(exc)) from None
+        return lwhisker_cell(B, e.cell, eval_pasting(B, e.expr))
     if isinstance(e, WhiskR):
-        v = eval_pasting(B, e.expr)
-        try:
-            return whisker_right(B, v, e.cell)
-        except CompositionError as exc:
-            raise TypingError(str(exc)) from None
+        return rwhisker_cell(B, eval_pasting(B, e.expr), e.cell)
     if isinstance(e, Assoc):
-        infer_boundary(B, e)
-        try:
-            return B.assoc[(e.h, e.g, e.f)]
-        except KeyError:
-            raise TypingError(f"no associator for {(e.h, e.g, e.f)!r}") from None
+        return assoc_cell(B, e.h, e.g, e.f)
     if isinstance(e, AssocInv):
-        return _inverse_or_raise(B, eval_pasting(B, Assoc(e.h, e.g, e.f)), e)
+        return assoc_inv_cell(B, e.h, e.g, e.f)
     if isinstance(e, RUnit):
-        infer_boundary(B, e)
-        return B.runit[e.cell]
+        return runit_cell(B, e.cell)
     if isinstance(e, RUnitInv):
-        infer_boundary(B, e)
-        return _inverse_or_raise(B, B.runit[e.cell], e)
+        return inverse_cell(B, runit_cell(B, e.cell))
     if isinstance(e, LUnit):
-        infer_boundary(B, e)
-        return B.lunit[e.cell]
+        return lunit_cell(B, e.cell)
     if isinstance(e, LUnitInv):
-        infer_boundary(B, e)
-        return _inverse_or_raise(B, B.lunit[e.cell], e)
+        return inverse_cell(B, lunit_cell(B, e.cell))
     if isinstance(e, Inv):
-        return _inverse_or_raise(B, eval_pasting(B, e.expr), e)
+        return inverse_cell(B, eval_pasting(B, e.expr))
     raise TypingError(f"unknown pasting node {e!r}")
 
 

@@ -18,46 +18,66 @@ Class-level composition never depends on which representative or which
 filler the search returns first; the searches here scan candidates in
 declaration order and take the least solution, so results are canonical
 cell-for-cell, and the independence is separately exercised by tests.
+
+Each search compares fixed pasting shapes: chains of associators,
+whiskered cells and vertical composites.  They are evaluated by direct table
+lookups (`core.assoc_cell`, `core.vfold` and their siblings), which check
+types as `eval_pasting` does, without building a pasting tree.  Factors that
+do not depend on the innermost candidates, such as a representative's 2-cell
+restricted along a refinement leg, are evaluated once per search, at the
+first candidate that needs them, so an input raises where it raised when
+every candidate evaluated its whole chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .core import (
-    Assoc,
-    AssocInv,
-    Atom,
     FinBicat,
-    LUnit,
     OneCell,
-    PastingExpr,
     PreconditionError,
-    RUnitInv,
     StructureError,
     TwoCell,
-    WhiskL,
-    WhiskR,
     _components_identity,
-    eval_pasting,
+    assoc_cell,
+    assoc_inv_cell,
     inv_cells2,
+    inverse_cell,
     is_invertible2,
+    lunit_cell,
+    lwhisker_cell,
+    runit_cell,
+    rwhisker_cell,
     two_cell_inverse,
     validate_bicat,
-    vchain,
+    vfold,
     whisker_left,
     whisker_right,
 )
 from .wclass import WClass, check_bf, find_bf3_filler, saturate
 
 
-def _wl(g: str, a: str) -> PastingExpr:
-    return WhiskL(g, Atom(a))
+def _restrict(B: FinBicat, b1: str, l1: str, a: str, b2: str, l2: str, z: str) -> str:
+    """``a: b1∘l1 ⇒ b2∘l2`` restricted along ``z``, as ``b1∘(l1∘z) ⇒ b2∘(l2∘z)``.
+
+    That is the chain: associator, ``a ∗ i_z``, inverse associator.
+    """
+    return vfold(B, assoc_cell(B, b1, l1, z), rwhisker_cell(B, a, z), assoc_inv_cell(B, b2, l2, z))
 
 
-def _wr(a: str, f: str) -> PastingExpr:
-    return WhiskR(Atom(a), f)
+class _Memo(dict):
+    """``compute(key)`` for each key, evaluated at the key's first lookup."""
+
+    def __init__(self, compute: Callable[[str], str]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: str) -> str:
+        value = self[key] = self.compute(key)
+        return value
 
 
 class LocalizationError(RuntimeError):
@@ -75,6 +95,11 @@ class Span:
     apex: str
     back: str
     forward: str
+
+    @cached_property
+    def id(self) -> str:
+        """The span's 1-cell id in the localization, formatted on first use."""
+        return f"({self.apex}|{self.back}|{self.forward})"
 
     def src_obj(self, B: FinBicat) -> str:
         return B.one(self.back).tgt
@@ -114,10 +139,6 @@ class Filler:
     left: str
     right: str
     rho: str
-
-
-def span_id(s: Span) -> str:
-    return f"({s.apex}|{s.back}|{s.forward})"
 
 
 def enumerate_spans(
@@ -185,28 +206,17 @@ def enumerate_reps(B: FinBicat, W: WClass, S1: Span, S2: Span) -> list[TwoCellRe
 
 
 def _refinement_routes_agree(
-    B: FinBicat, back1: str, back2: str, a1: str, a2: str,
-    r1: TwoCellRep, r2: TwoCellRep, z: str, zp: str, z1: str, z2: str,
+    B: FinBicat, back1: str, back2: str, a1z: str, a2zp: str, z1: str, z2: str,
 ) -> bool:
     """Route equality over one leg pair (backward or forward) of two reps.
 
-    ``back1/back2`` are the span legs, ``a1/a2`` the corresponding rep
-    2-cells, ``z1: leg1∘z ⇒ leg1'∘zp`` and ``z2: leg2∘z ⇒ leg2'∘zp`` the
-    refinement 2-cells.
+    ``back1/back2`` are the span legs, ``a1z`` and ``a2zp`` the two reps'
+    2-cells over that pair restricted along ``z`` and ``zp`` (`_restrict`),
+    ``z1: leg1∘z ⇒ leg1'∘zp`` and ``z2: leg2∘z ⇒ leg2'∘zp`` the refinement
+    2-cells.
     """
-    lhs = vchain(
-        Assoc(back1, r1.leg1, z),
-        _wr(a1, z),
-        AssocInv(back2, r1.leg2, z),
-        _wl(back2, z2),
-    )
-    rhs = vchain(
-        _wl(back1, z1),
-        Assoc(back1, r2.leg1, zp),
-        _wr(a2, zp),
-        AssocInv(back2, r2.leg2, zp),
-    )
-    return eval_pasting(B, lhs) == eval_pasting(B, rhs)
+    lhs = vfold(B, a1z, lwhisker_cell(B, back2, z2))
+    return lhs == vfold(B, lwhisker_cell(B, back1, z1), a2zp)
 
 
 def rep_equivalence_witness(
@@ -219,7 +229,12 @@ def rep_equivalence_witness(
     invertible, such that the refined backward-leg data of both
     representatives agree, and likewise the forward-leg data.
     """
-    w1l1 = B.hcomp1[(S1.back, r1.leg1)]
+    w1, w2, f1, f2 = S1.back, S2.back, S1.forward, S2.forward
+    alpha1 = _Memo(lambda z: _restrict(B, w1, r1.leg1, r1.alpha, w2, r1.leg2, z))
+    alpha2 = _Memo(lambda zp: _restrict(B, w1, r2.leg1, r2.alpha, w2, r2.leg2, zp))
+    beta1 = _Memo(lambda z: _restrict(B, f1, r1.leg1, r1.beta, f2, r1.leg2, z))
+    beta2 = _Memo(lambda zp: _restrict(B, f1, r2.leg1, r2.beta, f2, r2.leg2, zp))
+    w1l1 = B.hcomp1[(w1, r1.leg1)]
     for E in B.objects:
         for z in B.hom1(E, r1.apex):
             if B.hcomp1[(w1l1, z)] not in W:
@@ -231,17 +246,9 @@ def rep_equivalence_witness(
                 c2tgt = B.hcomp1[(r2.leg2, zp)]
                 for zeta1 in inv_cells2(B, c1src, c1tgt):
                     for zeta2 in inv_cells2(B, c2src, c2tgt):
-                        ok_w = _refinement_routes_agree(
-                            B, S1.back, S2.back, r1.alpha, r2.alpha,
-                            r1, r2, z, zp, zeta1, zeta2,
-                        )
-                        if not ok_w:
+                        if not _refinement_routes_agree(B, w1, w2, alpha1[z], alpha2[zp], zeta1, zeta2):
                             continue
-                        ok_f = _refinement_routes_agree(
-                            B, S1.forward, S2.forward, r1.beta, r2.beta,
-                            r1, r2, z, zp, zeta1, zeta2,
-                        )
-                        if ok_f:
+                        if _refinement_routes_agree(B, f1, f2, beta1[z], beta2[zp], zeta1, zeta2):
                             return (E, z, zp, zeta1, zeta2)
     return None
 
@@ -335,7 +342,7 @@ class Localization:
     _rep_to_class: dict[tuple[str, str], dict[TwoCellRep, str]] = field(repr=False)
 
     def sid(self, s: Span) -> str:
-        i = span_id(s)
+        i = s.id
         if i not in self.spans:
             raise StructureError(f"span {s!r} is not a 1-cell of the localization")
         return i
@@ -397,17 +404,17 @@ def materialize_fractions(
             raise PreconditionError(f"class {W.name or W.members!r} fails {bad}")
 
     spans = enumerate_spans(B, W)
-    sids = {span_id(s): s for s in spans}
-    span_pos = {span_id(s): i for i, s in enumerate(spans)}
+    sids = {s.id: s for s in spans}
+    span_pos = {s.id: i for i, s in enumerate(spans)}
     one_cells = tuple(
-        OneCell(span_id(s), s.src_obj(B), s.tgt_obj(B)) for s in spans
+        OneCell(s.id, s.src_obj(B), s.tgt_obj(B)) for s in spans
     )
     id1 = {}
     for X in B.objects:
         s = Span(X, B.id1[X], B.id1[X])
-        if span_id(s) not in sids:
+        if s.id not in sids:
             raise PreconditionError(f"identity span missing at {X!r}")
-        id1[X] = span_id(s)
+        id1[X] = s.id
 
     fillers: dict[tuple[str, str], Filler] = {}
     hcomp1: dict[tuple[str, str], str] = {}
@@ -416,16 +423,16 @@ def materialize_fractions(
             if si.tgt_obj(B) != so.src_obj(B):
                 continue
             comp, filler = compose_spans(B, W, so, si)
-            key = (span_id(so), span_id(si))
+            key = (so.id, si.id)
             fillers[key] = filler
-            hcomp1[key] = span_id(comp)
+            hcomp1[key] = comp.id
 
     frames: dict[tuple[str, str], list[TwoCellRep]] = {}
     for s1 in spans:
         for s2 in spans:
             if (s1.src_obj(B), s1.tgt_obj(B)) != (s2.src_obj(B), s2.tgt_obj(B)):
                 continue
-            frames[(span_id(s1), span_id(s2))] = enumerate_reps(B, W, s1, s2)
+            frames[(s1.id, s2.id)] = enumerate_reps(B, W, s1, s2)
 
     classes: dict[str, TwoCellClass] = {}
     rep_to_class: dict[tuple[str, str], dict[TwoCellRep, str]] = {}
@@ -457,7 +464,7 @@ def materialize_fractions(
         rep_to_class[key] = table
 
     def locate(S1: Span, S2: Span, rep: TwoCellRep) -> str:
-        key = (span_id(S1), span_id(S2))
+        key = (S1.id, S2.id)
         try:
             return rep_to_class[key][rep]
         except KeyError:
@@ -467,7 +474,7 @@ def materialize_fractions(
 
     id2: dict[str, str] = {}
     for s in spans:
-        sid = span_id(s)
+        sid = s.id
         idap = B.id1[s.apex]
         rep = TwoCellRep(
             s.apex, idap, idap,
@@ -493,34 +500,30 @@ def materialize_fractions(
                 for y in B.hom1(D, Q):
                     q2y = h1(q2, y)
                     for rho in inv_cells2(B, p2x, q2y):
-                        alpha = eval_pasting(B, vchain(
-                            Assoc(S1.back, p1, x),
-                            _wr(phi.alpha, x),
-                            AssocInv(S2.back, p2, x),
-                            _wl(S2.back, rho),
-                            Assoc(S2.back, q2, y),
-                            _wr(psi.alpha, y),
-                            AssocInv(S3.back, q3, y),
-                        ))
-                        beta = eval_pasting(B, vchain(
-                            Assoc(S1.forward, p1, x),
-                            _wr(phi.beta, x),
-                            AssocInv(S2.forward, p2, x),
-                            _wl(S2.forward, rho),
-                            Assoc(S2.forward, q2, y),
-                            _wr(psi.beta, y),
-                            AssocInv(S3.forward, q3, y),
-                        ))
+                        # The first candidate is the answer, so no factor is
+                        # worth sharing between candidates.
+                        alpha = vfold(
+                            B,
+                            _restrict(B, S1.back, p1, phi.alpha, S2.back, p2, x),
+                            lwhisker_cell(B, S2.back, rho),
+                            _restrict(B, S2.back, q2, psi.alpha, S3.back, q3, y),
+                        )
+                        beta = vfold(
+                            B,
+                            _restrict(B, S1.forward, p1, phi.beta, S2.forward, p2, x),
+                            lwhisker_cell(B, S2.forward, rho),
+                            _restrict(B, S2.forward, q2, psi.beta, S3.forward, q3, y),
+                        )
                         rep = TwoCellRep(D, p1x, h1(q3, y), alpha, beta)
                         return locate(S1, S3, rep)
         raise LocalizationError(
-            f"no composition site for classes over {span_id(S1)!r} ⇒ {span_id(S3)!r}"
+            f"no composition site for classes over {S1.id!r} ⇒ {S3.id!r}"
         )
 
     vcomp: dict[tuple[str, str], str] = {}
     for c1 in classes.values():
         for c2 in classes.values():
-            if span_id(c1.tgt) != span_id(c2.src):
+            if c1.tgt.id != c2.src.id:
                 continue
             vcomp[(c2.id, c1.id)] = compose_classes(
                 c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep
@@ -530,14 +533,18 @@ def materialize_fractions(
         """Class of ``psi ∗ i_S`` for ``psi: T1 ⇒ T2`` and a span ``S``."""
         T1, T2 = psi_cls.src, psi_cls.tgt
         psi = psi_cls.rep
-        f1 = fillers[(span_id(T1), span_id(S))]
-        f2 = fillers[(span_id(T2), span_id(S))]
+        f1 = fillers[(T1.id, S.id)]
+        f2 = fillers[(T2.id, S.id)]
         D1, x1, y1, rho1 = f1.apex, f1.left, f1.right, f1.rho
         D2, x2, y2, rho2 = f2.apex, f2.left, f2.right, f2.rho
-        comp1 = sids[hcomp1[(span_id(T1), span_id(S))]]
-        comp2 = sids[hcomp1[(span_id(T2), span_id(S))]]
+        comp1 = sids[hcomp1[(T1.id, S.id)]]
+        comp2 = sids[hcomp1[(T2.id, S.id)]]
         rho1_inv = two_cell_inverse(B, rho1)
         q1, q2 = psi.leg1, psi.leg2
+        # Factors of the two routes that depend on one loop variable only.
+        rho1_e1 = _Memo(lambda e1: _restrict(B, T1.back, y1, rho1_inv, S.forward, x1, e1))
+        rho2_e2 = _Memo(lambda e2: _restrict(B, S.forward, x2, rho2, T2.back, y2, e2))
+        psi_lam = _Memo(lambda lam: _restrict(B, T1.back, q1, psi.alpha, T2.back, q2, lam))
         for E in B.objects:
             for e1 in B.hom1(E, D1):
                 if h1(comp1.back, e1) not in W:
@@ -548,62 +555,59 @@ def materialize_fractions(
                     x2e2 = h1(x2, e2)
                     y2e2 = h1(y2, e2)
                     for xi in inv_cells2(B, x1e1, x2e2):
-                        route1 = eval_pasting(B, vchain(
-                            Assoc(T1.back, y1, e1),
-                            _wr(rho1_inv, e1),
-                            AssocInv(S.forward, x1, e1),
-                            _wl(S.forward, xi),
-                            Assoc(S.forward, x2, e2),
-                            _wr(rho2, e2),
-                            AssocInv(T2.back, y2, e2),
-                        ))
+                        route1 = vfold(
+                            B, rho1_e1[e1], lwhisker_cell(B, S.forward, xi), rho2_e2[e2],
+                        )
                         for lam in B.hom1(E, psi.apex):
                             q1lam = h1(q1, lam)
                             q2lam = h1(q2, lam)
                             for k1 in inv_cells2(B, y1e1, q1lam):
                                 for k2 in inv_cells2(B, y2e2, q2lam):
                                     k2_inv = two_cell_inverse(B, k2)
-                                    route2 = eval_pasting(B, vchain(
-                                        _wl(T1.back, k1),
-                                        Assoc(T1.back, q1, lam),
-                                        _wr(psi.alpha, lam),
-                                        AssocInv(T2.back, q2, lam),
-                                        _wl(T2.back, k2_inv),
-                                    ))
+                                    route2 = vfold(
+                                        B,
+                                        lwhisker_cell(B, T1.back, k1),
+                                        psi_lam[lam],
+                                        lwhisker_cell(B, T2.back, k2_inv),
+                                    )
                                     if route1 != route2:
                                         continue
-                                    alpha = eval_pasting(B, vchain(
-                                        AssocInv(S.back, x1, e1),
-                                        _wl(S.back, xi),
-                                        Assoc(S.back, x2, e2),
-                                    ))
-                                    beta = eval_pasting(B, vchain(
-                                        AssocInv(T1.forward, y1, e1),
-                                        _wl(T1.forward, k1),
-                                        Assoc(T1.forward, q1, lam),
-                                        _wr(psi.beta, lam),
-                                        AssocInv(T2.forward, q2, lam),
-                                        _wl(T2.forward, k2_inv),
-                                        Assoc(T2.forward, y2, e2),
-                                    ))
+                                    alpha = vfold(
+                                        B,
+                                        assoc_inv_cell(B, S.back, x1, e1),
+                                        lwhisker_cell(B, S.back, xi),
+                                        assoc_cell(B, S.back, x2, e2),
+                                    )
+                                    beta = vfold(
+                                        B,
+                                        assoc_inv_cell(B, T1.forward, y1, e1),
+                                        lwhisker_cell(B, T1.forward, k1),
+                                        _restrict(B, T1.forward, q1, psi.beta, T2.forward, q2, lam),
+                                        lwhisker_cell(B, T2.forward, k2_inv),
+                                        assoc_cell(B, T2.forward, y2, e2),
+                                    )
                                     rep = TwoCellRep(E, e1, e2, alpha, beta)
                                     return locate(comp1, comp2, rep)
         raise LocalizationError(
-            f"no whiskering site for {psi_cls.id!r} ∗ {span_id(S)!r}"
+            f"no whiskering site for {psi_cls.id!r} ∗ {S.id!r}"
         )
 
     def whisk_left_class(T: Span, phi_cls: TwoCellClass) -> str:
         """Class of ``i_T ∗ phi`` for a span ``T`` and ``phi: S1 ⇒ S2``."""
         S1, S2 = phi_cls.src, phi_cls.tgt
         phi = phi_cls.rep
-        f1 = fillers[(span_id(T), span_id(S1))]
-        f2 = fillers[(span_id(T), span_id(S2))]
+        f1 = fillers[(T.id, S1.id)]
+        f2 = fillers[(T.id, S2.id)]
         D1, x1, y1, rho1 = f1.apex, f1.left, f1.right, f1.rho
         D2, x2, y2, rho2 = f2.apex, f2.left, f2.right, f2.rho
-        comp1 = sids[hcomp1[(span_id(T), span_id(S1))]]
-        comp2 = sids[hcomp1[(span_id(T), span_id(S2))]]
+        comp1 = sids[hcomp1[(T.id, S1.id)]]
+        comp2 = sids[hcomp1[(T.id, S2.id)]]
         rho1_inv = two_cell_inverse(B, rho1)
         p1, p2 = phi.leg1, phi.leg2
+        # Factors of ``delta`` that depend on one loop variable only.
+        rho1_e1 = _Memo(lambda e1: _restrict(B, T.back, y1, rho1_inv, S1.forward, x1, e1))
+        rho2_e2 = _Memo(lambda e2: _restrict(B, S2.forward, x2, rho2, T.back, y2, e2))
+        beta_lam = _Memo(lambda lam: _restrict(B, S1.forward, p1, phi.beta, S2.forward, p2, lam))
         for E in B.objects:
             for e1 in B.hom1(E, D1):
                 if h1(comp1.back, e1) not in W:
@@ -619,40 +623,35 @@ def materialize_fractions(
                         for i1 in inv_cells2(B, x1e1, p1lam):
                             for i2 in inv_cells2(B, x2e2, p2lam):
                                 i2_inv = two_cell_inverse(B, i2)
-                                delta = eval_pasting(B, vchain(
-                                    Assoc(T.back, y1, e1),
-                                    _wr(rho1_inv, e1),
-                                    AssocInv(S1.forward, x1, e1),
-                                    _wl(S1.forward, i1),
-                                    Assoc(S1.forward, p1, lam),
-                                    _wr(phi.beta, lam),
-                                    AssocInv(S2.forward, p2, lam),
-                                    _wl(S2.forward, i2_inv),
-                                    Assoc(S2.forward, x2, e2),
-                                    _wr(rho2, e2),
-                                    AssocInv(T.back, y2, e2),
-                                ))
+                                delta = vfold(
+                                    B,
+                                    rho1_e1[e1],
+                                    lwhisker_cell(B, S1.forward, i1),
+                                    beta_lam[lam],
+                                    lwhisker_cell(B, S2.forward, i2_inv),
+                                    rho2_e2[e2],
+                                )
                                 for eps in B.cells2(y1e1, y2e2):
                                     if whisker_left(B, T.back, eps) != delta:
                                         continue
-                                    alpha = eval_pasting(B, vchain(
-                                        AssocInv(S1.back, x1, e1),
-                                        _wl(S1.back, i1),
-                                        Assoc(S1.back, p1, lam),
-                                        _wr(phi.alpha, lam),
-                                        AssocInv(S2.back, p2, lam),
-                                        _wl(S2.back, i2_inv),
-                                        Assoc(S2.back, x2, e2),
-                                    ))
-                                    beta = eval_pasting(B, vchain(
-                                        AssocInv(T.forward, y1, e1),
-                                        _wl(T.forward, eps),
-                                        Assoc(T.forward, y2, e2),
-                                    ))
+                                    alpha = vfold(
+                                        B,
+                                        assoc_inv_cell(B, S1.back, x1, e1),
+                                        lwhisker_cell(B, S1.back, i1),
+                                        _restrict(B, S1.back, p1, phi.alpha, S2.back, p2, lam),
+                                        lwhisker_cell(B, S2.back, i2_inv),
+                                        assoc_cell(B, S2.back, x2, e2),
+                                    )
+                                    beta = vfold(
+                                        B,
+                                        assoc_inv_cell(B, T.forward, y1, e1),
+                                        lwhisker_cell(B, T.forward, eps),
+                                        assoc_cell(B, T.forward, y2, e2),
+                                    )
                                     rep = TwoCellRep(E, e1, e2, alpha, beta)
                                     return locate(comp1, comp2, rep)
         raise LocalizationError(
-            f"no whiskering site for {span_id(T)!r} ∗ {phi_cls.id!r}"
+            f"no whiskering site for {T.id!r} ∗ {phi_cls.id!r}"
         )
 
     whisk_left: dict[tuple[str, str], str] = {}
@@ -660,13 +659,13 @@ def materialize_fractions(
         for c in classes.values():
             if c.src.tgt_obj(B) != g.src_obj(B):
                 continue
-            whisk_left[(span_id(g), c.id)] = whisk_left_class(g, c)
+            whisk_left[(g.id, c.id)] = whisk_left_class(g, c)
     whisk_right: dict[tuple[str, str], str] = {}
     for c in classes.values():
         for f in spans:
             if f.tgt_obj(B) != c.src.src_obj(B):
                 continue
-            whisk_right[(c.id, span_id(f))] = whisk_right_class(c, f)
+            whisk_right[(c.id, f.id)] = whisk_right_class(c, f)
 
     # Inverses depend only on id2 and vcomp, so the coherence tables can be
     # filled in from the built localization's own inverse search.
@@ -697,18 +696,18 @@ def materialize_fractions(
         for gs in spans:
             if hs.src_obj(B) != gs.tgt_obj(B):
                 continue
-            hg = hcomp1[(span_id(hs), span_id(gs))]
+            hg = hcomp1[(hs.id, gs.id)]
             for fs in spans:
                 if gs.src_obj(B) != fs.tgt_obj(B):
                     continue
-                gf = hcomp1[(span_id(gs), span_id(fs))]
-                lhs = hcomp1[(span_id(hs), gf)]
-                rhs = hcomp1[(hg, span_id(fs))]
-                mat.assoc[(span_id(hs), span_id(gs), span_id(fs))] = invertible_class(
+                gf = hcomp1[(gs.id, fs.id)]
+                lhs = hcomp1[(hs.id, gf)]
+                rhs = hcomp1[(hg, fs.id)]
+                mat.assoc[(hs.id, gs.id, fs.id)] = invertible_class(
                     lhs, rhs, "associator"
                 )
     for s in spans:
-        sid = span_id(s)
+        sid = s.id
         mat.runit[sid] = invertible_class(
             hcomp1[(sid, id1[s.src_obj(B)])], sid, "right unitor"
         )
@@ -773,13 +772,14 @@ def universal_functor_data(loc: Localization):
             D, vp, fp = filler.apex, filler.left, filler.right
             idD = B.id1[D]
             gf = B.hcomp1[(gc.id, fc.id)]
-            alpha = eval_pasting(B, RUnitInv(B.hcomp1[(idA, vp)]))
-            beta = eval_pasting(B, vchain(
-                AssocInv(gc.id, fc.id, vp),
-                _wl(gc.id, filler.rho),
-                WhiskL(gc.id, LUnit(fp)),
-                RUnitInv(B.hcomp1[(gc.id, fp)]),
-            ))
+            alpha = inverse_cell(B, runit_cell(B, B.hcomp1[(idA, vp)]))
+            beta = vfold(
+                B,
+                assoc_inv_cell(B, gc.id, fc.id, vp),
+                lwhisker_cell(B, gc.id, filler.rho),
+                lwhisker_cell(B, gc.id, lunit_cell(B, fp)),
+                inverse_cell(B, runit_cell(B, B.hcomp1[(gc.id, fp)])),
+            )
             rep = TwoCellRep(D, vp, idD, alpha, beta)
             src_span = Span(A, idA, gf)
             tgt_span = loc.span(loc.bicat.hcomp1[(ug, uf)])

@@ -89,6 +89,16 @@ def test_inverses(toy, loopy):
     assert inv_cells2(loopy, "idB", "idB") == ["iB"]
 
 
+def test_a_replaced_copy_leaves_the_original_index_alone(toy):
+    assert two_cell_inverse(toy, "loop") == "loop"
+    vcomp = dict(toy.vcomp)
+    vcomp[("loop", "loop")] = "loop"
+    other = dataclasses.replace(toy, vcomp=vcomp)
+    assert two_cell_inverse(other, "loop") is None
+    assert two_cell_inverse(toy, "loop") == "loop"
+    assert toy.cells2("idB", "idB") == ["iB", "loop"]
+
+
 def test_internal_equivalences(toy):
     assert internal_equivalences(toy) == ["idA", "idB"]
     assert internal_equivalence_witness(toy, "v") is None
@@ -143,7 +153,7 @@ def test_validator_passes_known_instances(toy, loopy):
     for B in (toy, loopy, toyq(), iso2(), discrete2()):
         rep = validate_bicat(B)
         assert rep.passed, rep.violations
-    stripped = dataclasses.replace(toy, strict=False, _cache={})
+    stripped = dataclasses.replace(toy, strict=False)
     assert not stripped.strict
     assert validate_bicat(stripped).passed
 

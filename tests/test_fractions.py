@@ -1,6 +1,7 @@
 """Spans, representative classes and the materialized fraction bicategory."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import random
 import sys
@@ -9,12 +10,25 @@ from pathlib import Path
 import pytest
 
 from bicfrac.builders import appendix_toy, arrow2, iso2, iso2_classes, toy_classes, toyq
-from bicfrac.core import FinBicat, PreconditionError, validate_bicat
+from bicfrac.core import (
+    Assoc,
+    AssocInv,
+    Atom,
+    FinBicat,
+    PreconditionError,
+    WhiskL,
+    WhiskR,
+    eval_pasting,
+    inv_cells2,
+    validate_bicat,
+    vchain,
+)
 from bicfrac.fractions import (
     LocalizationError,
     Span,
     TwoCellRep,
     compose_spans,
+    enumerate_reps,
     enumerate_spans,
     materialize_fractions,
     rep_equivalence_witness,
@@ -22,7 +36,7 @@ from bicfrac.fractions import (
     span_is_equivalence,
     universal_pseudofunctor,
 )
-from bicfrac.presentation import load_document
+from bicfrac.presentation import Presentation, export_presentation, load_document
 from bicfrac.wclass import WClass, check_bf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,7 +110,7 @@ def test_localization_requires_the_axioms(toy, classes):
         materialize_fractions(toy, classes["WnoId"])
     vcomp = dict(toy.vcomp)
     vcomp[("loop", "iB")] = "iB"  # well typed, but loop ⊙ id is no longer loop
-    lawless = dataclasses.replace(toy, vcomp=vcomp, _cache={})
+    lawless = dataclasses.replace(toy, vcomp=vcomp)
     with pytest.raises(PreconditionError, match="hom-category:unit"):
         materialize_fractions(lawless, classes["W"])
 
@@ -146,6 +160,28 @@ def bench_corpus():
     return mod
 
 
+def fixture_bf_classes():
+    """``(label, B, W)`` for each fixture class that passes `check_bf`."""
+    out = []
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        doc = load_document(str(path))
+        for cname, W in doc.classes.items():
+            if check_bf(doc.bicat, W).passed:
+                out.append((f"{path.stem}:{cname}", doc.bicat, W))
+    assert len(out) == 13, [label for label, _, _ in out]
+    return out
+
+
+GENERATED = [("chain", n) for n in (2, 3, 4)] + [("cyclic_loop", k) for k in (2, 3, 4, 5)]
+
+
+def generated_classes(family: str, size: int):
+    """``(label, B, W)`` for each class of a `bench/corpus.py` instance."""
+    inst = getattr(bench_corpus(), family)(size, random.Random(size))
+    B = inst.build()
+    return [(f"{family}{size}:{c}", B, WClass.of(B, m, c)) for c, m in inst.classes.items()]
+
+
 def reference_coherence_cell(L: FinBicat, src: str, tgt: str):
     """The least class ``src ⇒ tgt`` with a two-sided inverse, by brute force.
 
@@ -173,22 +209,121 @@ def assert_reference_coherence_cells(B: FinBicat, W: WClass) -> None:
 
 
 def test_coherence_cells_match_the_reference_on_every_fixture_class():
-    checked = []
-    for path in sorted(FIXTURE_DIR.glob("*.json")):
-        doc = load_document(str(path))
-        for cname, W in doc.classes.items():
-            if check_bf(doc.bicat, W).passed:
-                assert_reference_coherence_cells(doc.bicat, W)
-                checked.append(f"{path.stem}:{cname}")
-    assert len(checked) == 13, checked
+    for _, B, W in fixture_bf_classes():
+        assert_reference_coherence_cells(B, W)
 
 
-@pytest.mark.parametrize("family,size", [
-    ("chain", 2), ("chain", 3), ("chain", 4),
-    ("cyclic_loop", 2), ("cyclic_loop", 3), ("cyclic_loop", 4),
-])
+@pytest.mark.parametrize("family,size", GENERATED)
 def test_coherence_cells_match_the_reference_on_generated_instances(family, size):
-    inst = getattr(bench_corpus(), family)(size, random.Random(size))
-    B = inst.build()
-    for cname, members in inst.classes.items():
-        assert_reference_coherence_cells(B, WClass.of(B, members, cname))
+    for _, B, W in generated_classes(family, size):
+        assert_reference_coherence_cells(B, W)
+
+
+def reference_rep_equivalence_witness(B, W, S1, S2, r1, r2):
+    """The witness search as pasting trees: every candidate builds and evaluates both routes."""
+
+    def routes_agree(back1, back2, a1, a2, z, zp, z1, z2):
+        lhs = vchain(
+            Assoc(back1, r1.leg1, z),
+            WhiskR(Atom(a1), z),
+            AssocInv(back2, r1.leg2, z),
+            WhiskL(back2, Atom(z2)),
+        )
+        rhs = vchain(
+            WhiskL(back1, Atom(z1)),
+            Assoc(back1, r2.leg1, zp),
+            WhiskR(Atom(a2), zp),
+            AssocInv(back2, r2.leg2, zp),
+        )
+        return eval_pasting(B, lhs) == eval_pasting(B, rhs)
+
+    w1l1 = B.hcomp1[(S1.back, r1.leg1)]
+    for E in B.objects:
+        for z in B.hom1(E, r1.apex):
+            if B.hcomp1[(w1l1, z)] not in W:
+                continue
+            for zp in B.hom1(E, r2.apex):
+                c1 = (B.hcomp1[(r1.leg1, z)], B.hcomp1[(r2.leg1, zp)])
+                c2 = (B.hcomp1[(r1.leg2, z)], B.hcomp1[(r2.leg2, zp)])
+                for zeta1 in inv_cells2(B, *c1):
+                    for zeta2 in inv_cells2(B, *c2):
+                        if not routes_agree(S1.back, S2.back, r1.alpha, r2.alpha, z, zp, zeta1, zeta2):
+                            continue
+                        if routes_agree(S1.forward, S2.forward, r1.beta, r2.beta, z, zp, zeta1, zeta2):
+                            return (E, z, zp, zeta1, zeta2)
+    return None
+
+
+def assert_reference_witnesses(B: FinBicat, W: WClass) -> tuple[int, int]:
+    """Compare every ordered representative pair of every frame; return (pairs, witnessed)."""
+    pairs = witnessed = 0
+    spans = enumerate_spans(B, W)
+    for S1 in spans:
+        for S2 in spans:
+            if (S1.src_obj(B), S1.tgt_obj(B)) != (S2.src_obj(B), S2.tgt_obj(B)):
+                continue
+            reps = enumerate_reps(B, W, S1, S2)
+            for r1 in reps:
+                for r2 in reps:
+                    want = reference_rep_equivalence_witness(B, W, S1, S2, r1, r2)
+                    assert rep_equivalence_witness(B, W, S1, S2, r1, r2) == want, (S1, S2, r1, r2)
+                    pairs += 1
+                    witnessed += want is not None
+    return pairs, witnessed
+
+
+def test_witness_search_matches_the_reference_on_every_fixture_class():
+    counts = [assert_reference_witnesses(B, W) for _, B, W in fixture_bf_classes()]
+    assert sum(p for p, _ in counts) > sum(w for _, w in counts) > 0
+
+
+@pytest.mark.parametrize("family,size", GENERATED)
+def test_witness_search_matches_the_reference_on_generated_instances(family, size):
+    for label, B, W in generated_classes(family, size):
+        pairs, _ = assert_reference_witnesses(B, W)
+        assert pairs > 0, label
+
+
+# sha256 of `export_presentation` of each localization above, as written by
+# the tree-evaluating implementation; the cell ids and tables must not drift.
+LOCALIZATION_DIGESTS = {
+    "appx-toy-loopy:W": "e7845ad6b31417a6e3f19f6e7df91d4f3f068360a7916a64f0831a5443888de4",
+    "appx-toy-loopy:Wmin": "d8bc3e2317c01cdfa51759eae265aea7b7cf524446dacba163f40daba02efa2b",
+    "appx-toy:W": "024b32f11ab3150eed1aa02137fcda89691dc39ea54360f9bcea9096bf9a7c38",
+    "appx-toy:Wmin": "6966cadb4f1b7099da830cec53fd209dcf013d868260d774488785b28ddce2d8",
+    "arrow2:W": "85b6c9af7389ec7583e400b3733d739f0b5f3b4a34c3958f66d94c7d5b7bb0d9",
+    "collapse-loop:W": "68a329b6281a49b4e256ddb7582f96d7703a76c35ad2d5abc5283fb10537a2a9",
+    "collapse-loop:Wmin": "0ca80152a25fe81efa20bcf9594ae3af56bb5484e8737fda6f7e0a06669e72ef",
+    "discrete2:W": "b8e2e64e80068523dc565b3fc7811d6af37857a3fcafe5e0acd60514c014726b",
+    "iso2:W": "ef1060c6847532a8ad25192bbb42f997125738e21339ba7e55fa0fcf8577c876",
+    "iso2:Wmin": "d2f8f33a09c4e18a1aa48bab9983a772ab4e2e4a7bd2c05e71cf51355424d8bb",
+    "point-into-discrete2:W": "f3786dbe6decaeb8dc81072dd3f7099e287c5fee95dff2de513627ec4fc932da",
+    "toyq:W": "a56a37322d33dc5c7fa9ce38cf628e44d1ba32d98260ca292b7f533f03f9800a",
+    "toyq:Wmin": "f64599077172d5f6700b8c4f4fe91f5cf7fc277774c5bdf3f26613c59c879502",
+    "chain2:all": "2f74529ab7a7adb72d38ae9c5b7a54b687675a74f90c6b35f25d392a9a519b7c",
+    "chain2:ids": "98856b32481c08d2031078d61b7fc65c652775750f9a60e5f45ac2c8f64010df",
+    "chain3:all": "91ccdbe2a0a2320d737b434520220a9819df4f90b7b8373d094aa844837899fa",
+    "chain3:ids": "2c83b78a352405f45a4c07ad3e1dbe68985c15276d5485c236d123602f5e9e88",
+    "chain4:all": "94025b937fd2bcfa4231d8ce6b45bf21c73df1b5c9270cbd75aa46ce2f8df904",
+    "chain4:ids": "9eb8d08642516813d6bdcc37803ff9c8f549f3a9fd2bbc4e736d83daad847336",
+    "cyclic_loop2:Wmin": "9f445b871de2d58ecc617c4ff99e8e82de93be46c45d39cab695bf6b64ce572a",
+    "cyclic_loop2:W": "2f4977efb613403c6bdfdac2fc1ff0eca03f77be04fdd1cbeeddef9e3baacf77",
+    "cyclic_loop3:Wmin": "344ac0fb6e05155640cf9eb5a576a86cd3f30b0c4b1d585c87592a0945042f04",
+    "cyclic_loop3:W": "48ee75865533379bc5f3335360619b903c64065d8879c1b3f877cf9967d2b61c",
+    "cyclic_loop4:Wmin": "3f0bf907067dd6998806e04622ce4af3b4f31dd209e65a5f0974237e2c440375",
+    "cyclic_loop4:W": "827a332bdb75d4aaf6ea1983ab232ae8e5cd2352f00a1ba32507183d8a0b1245",
+    "cyclic_loop5:Wmin": "81684739a80b8777a9b0bc0f2988f9fa88d90a9dd1c8acb74b03fff349d6bebf",
+    "cyclic_loop5:W": "82908ae0e481eed98404f4cf4ae564367962066ccc2fbf23d6160a08f408400b",
+}
+
+
+def test_localization_documents_match_the_pinned_digests():
+    cases = fixture_bf_classes()
+    for family, size in GENERATED:
+        cases += generated_classes(family, size)
+    got = {}
+    for label, B, W in cases:
+        L = materialize_fractions(B, W).bicat
+        text = export_presentation(Presentation(L, {}, {}, L.name))
+        got[label] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == LOCALIZATION_DIGESTS

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicfrac.builders import appendix_toy, arrow2, iso2, theorem_suite, toy_classes
@@ -18,14 +19,24 @@ from bicfrac.core import (
     LUnitInv,
     RUnit,
     RUnitInv,
+    TypingError,
     VComp,
     WhiskL,
     WhiskR,
+    assoc_cell,
+    assoc_inv_cell,
     eval_pasting,
     infer_boundary,
+    inverse_cell,
     is_invertible2,
+    lunit_cell,
+    lwhisker_cell,
+    runit_cell,
+    rwhisker_cell,
     two_cell_inverse,
+    vchain,
     vcompose,
+    vfold,
     whisker_left,
     whisker_right,
 )
@@ -114,7 +125,7 @@ def test_eval_lands_on_inferred_boundary(case):
 def test_strict_flag_never_changes_results(case):
     name, e = case
     B = BICATS[name]
-    stripped = dataclasses.replace(B, strict=False, _cache={})
+    stripped = dataclasses.replace(B, strict=False)
     try:
         a = eval_pasting(B, e)
     except InvertibilityError:
@@ -124,6 +135,91 @@ def test_strict_flag_never_changes_results(case):
     except InvertibilityError:
         b = None
     assert a == b
+
+
+# Each pasting factor as a tree node and as the table lookup that replaces it.
+FACTORS = {
+    "atom": (Atom, lambda B, a: a),
+    "inv": (lambda a: Inv(Atom(a)), inverse_cell),
+    "assoc": (Assoc, assoc_cell),
+    "assoc_inv": (AssocInv, assoc_inv_cell),
+    "runit": (RUnit, runit_cell),
+    "runit_inv": (RUnitInv, lambda B, f: inverse_cell(B, runit_cell(B, f))),
+    "lunit": (LUnit, lunit_cell),
+    "lunit_inv": (LUnitInv, lambda B, f: inverse_cell(B, lunit_cell(B, f))),
+    "lwhisk": (lambda g, a: WhiskL(g, Atom(a)), lwhisker_cell),
+    "rwhisk": (lambda a, f: WhiskR(Atom(a), f), rwhisker_cell),
+}
+ARGS = {  # the kind of cell each argument is: 1 for a 1-cell, 2 for a 2-cell
+    "atom": (2,), "inv": (2,), "assoc": (1, 1, 1), "assoc_inv": (1, 1, 1),
+    "runit": (1,), "runit_inv": (1,), "lunit": (1,), "lunit_inv": (1,),
+    "lwhisk": (1, 2), "rwhisk": (2, 1),
+}
+CHAIN_BICATS = {**BICATS, "loopy": appendix_toy(loop_square="loop")}
+
+
+def outcome(thunk):
+    """The cell a thunk returns, or the class of the bicfrac error it raises."""
+    try:
+        return thunk()
+    except ValueError as exc:
+        return type(exc)
+
+
+def chain_outcomes(B, factors):
+    """``eval_pasting`` of the chain's tree, and the same chain folded from lookups.
+
+    The fold composes each factor as soon as it is evaluated, as a `VComp`
+    node does, so both raise at the same factor.
+    """
+
+    def fold():
+        out = None
+        for kind, args in factors:
+            cell = FACTORS[kind][1](B, *args)
+            out = cell if out is None else vfold(B, out, cell)
+        return out
+
+    tree = vchain(*(FACTORS[kind][0](*args) for kind, args in factors))
+    return outcome(lambda: eval_pasting(B, tree)), outcome(fold)
+
+
+@st.composite
+def factor_chains(draw):
+    """Random factor chains, mostly ill typed, over lawful fixtures."""
+    name = draw(st.sampled_from(sorted(CHAIN_BICATS)))
+    B = CHAIN_BICATS[name]
+    cells = {1: st.sampled_from([c.id for c in B.one_cells]),
+             2: st.sampled_from([t.id for t in B.two_cells])}
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(FACTORS)))
+        factors.append((kind, tuple(draw(cells[k]) for k in ARGS[kind])))
+    return name, factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_chains())
+def test_table_lookups_agree_with_eval_pasting(case):
+    name, factors = case
+    B = CHAIN_BICATS[name]
+    tree, lookups = chain_outcomes(B, factors)
+    assert tree == lookups
+    if isinstance(tree, str):
+        cells = [FACTORS[kind][1](B, *args) for kind, args in factors]
+        assert vfold(B, *cells) == tree
+
+
+@pytest.mark.parametrize("name,factors,error", [
+    ("toy", [("assoc", ("v", "v", "idA"))], TypingError),  # v∘v is not composable
+    ("toy", [("lwhisk", ("v", "loop"))], TypingError),  # loop lives over B, v starts at A
+    ("toy", [("atom", ("iv",)), ("atom", ("loop",))], TypingError),  # v then idB
+    ("loopy", [("atom", ("loop",)), ("inv", ("loop",))], InvertibilityError),
+    ("loopy", [("atom", ("iv",)), ("atom", ("loop",)), ("inv", ("loop",))], TypingError),
+    ("toy", [("runit_inv", ("v",)), ("lwhisk", ("idB", "iv")), ("assoc", ("idB", "v", "idA"))], "iv"),
+])
+def test_table_lookups_raise_where_eval_pasting_raises(name, factors, error):
+    assert chain_outcomes(CHAIN_BICATS[name], factors) == (error, error)
 
 
 @MODEST
