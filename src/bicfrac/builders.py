@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FinBicat, OneCell, StructureError, TwoCell
+from .core import FinBicat, OneCell, StructureError, TwoCell, composable_pairs
 from .psfun import PsFun, identity_psfun
 from .wclass import WClass
 
@@ -309,9 +309,7 @@ def strict_psfun(
     """
     psi = {
         (g.id, f.id): target.id2[target.hcomp1[(f1[g.id], f1[f.id])]]
-        for g in source.one_cells
-        for f in source.one_cells
-        if g.src == f.tgt
+        for g, f in composable_pairs(source)
     }
     sigma = {x: target.id2[target.id1[f0[x]]] for x in source.objects}
     return PsFun(source, target, dict(f0), dict(f1), dict(f2), psi, sigma, name)

@@ -431,52 +431,50 @@ def _cmd_cross_validate(args) -> tuple[int, dict, list[str]]:
     return (0 if all_passed else 1), payload, text
 
 
-def _demo_verdicts(pres: Presentation) -> dict[str, bool]:
-    """BF, strict-family and single-class verdicts for one toy variant."""
+def _demo_reports(pres: Presentation) -> dict:
+    """The BF report, the universal map U(W) and its EF and B reports for one toy variant."""
     B = pres.bicat
     W = pres.classes["W"]
-    out = {"bf": check_bf(B, W).passed}
-    loc = materialize_fractions(B, W)
-    UW = universal_pseudofunctor(loc)
-    out["collapse"] = UW.f2["loop"] == UW.f2["iB"]
-    for i in range(1, 4):
-        out[f"EF{i}"] = check_EF(UW, W, i).holds
-    for i in range(1, 6):
-        out[f"B{i}"] = check_B(UW, W, i).holds
+    out = {"bf": check_bf(B, W)}
+    out["UW"] = UW = universal_pseudofunctor(materialize_fractions(B, W))
+    out.update((f"EF{i}", check_EF(UW, W, i)) for i in range(1, 4))
+    out.update((f"B{i}", check_B(UW, W, i)) for i in range(1, 6))
+    return out
+
+
+def _demo_verdicts(reports: dict) -> dict[str, bool]:
+    """BF, strict-family and single-class verdicts of `_demo_reports`."""
+    UW = reports["UW"]
+    out = {k: r.holds for k, r in reports.items() if k not in ("bf", "UW")}
+    out.update(bf=reports["bf"].passed, collapse=UW.f2["loop"] == UW.f2["iB"])
     return out
 
 
 def _cmd_demo(args) -> tuple[int, dict, list[str]]:
-    pres = load_fixture("appx-toy")
-    other = load_fixture("appx-toy-loopy")
-    B = pres.bicat
-    W = pres.classes["W"]
+    reports = _demo_reports(load_fixture("appx-toy"))
+    UW = reports["UW"]
 
     facts: list[tuple[str, bool, str]] = []
-    bf = check_bf(B, W)
-    facts.append(("closure axioms hold for W", bf.passed, ""))
-    loc = materialize_fractions(B, W)
-    UW = universal_pseudofunctor(loc)
+    facts.append(("closure axioms hold for W", reports["bf"].passed, ""))
     u_loop, u_i = UW.f2["loop"], UW.f2["iB"]
     facts.append((
         "U2(loop) = U2(iB) in the fraction bicategory",
         u_loop == u_i,
         f"both map to {u_loop}",
     ))
-    ef3 = check_EF(UW, W, 3)
+    ef3 = reports["EF3"]
     cex_ok = (not ef3.holds) and set(ef3.counterexample[3:]) == {"iB", "loop"}
     facts.append((
         "EF3 fails: the 2-cell preimage is not unique",
         cex_ok,
         f"counterexample {tuple(ef3.counterexample)}" if ef3.counterexample else "",
     ))
-    b_reports = [check_B(UW, W, i) for i in range(1, 6)]
     facts.append((
         "B1..B5 all hold for the universal map",
-        all(r.holds for r in b_reports),
+        all(reports[f"B{i}"].holds for i in range(1, 6)),
         "",
     ))
-    same = _demo_verdicts(pres) == _demo_verdicts(other)
+    same = _demo_verdicts(reports) == _demo_verdicts(_demo_reports(load_fixture("appx-toy-loopy")))
     facts.append((
         "verdicts identical on both loop-monoid variants",
         same,

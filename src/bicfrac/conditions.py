@@ -117,8 +117,8 @@ def _members(B: FinBicat, cls, x: str, y: str) -> list[str]:
 
 def _class_into(B: FinBicat, cls, y: str) -> Iterator[str]:
     """Class members with target ``y`` in table order."""
-    for c in B.one_cells:
-        if c.tgt == y and c.id in cls:
+    for c in B.into1(y):
+        if c.id in cls:
             yield c.id
 
 
@@ -1031,9 +1031,7 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
                     if F.f1[f.id] not in eq:
                         continue
                     found = False
-                    for g in src.one_cells:
-                        if g.tgt != f.src:
-                            continue
+                    for g in src.into1(f.src):
                         if src.hcomp1[(f.id, g.id)] in W_A and F.f1[g.id] in eq:
                             found = True
                             break

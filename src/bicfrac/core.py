@@ -4,7 +4,13 @@ A `FinBicat` stores every cell and every structural operation of a finite
 bicategory explicitly: objects, 1-cells, 2-cells, identities, horizontal and
 vertical composition, the two whiskerings, associators and the two unitors.
 Nothing is computed lazily from generators; the tables *are* the bicategory.
-Construction rejects undeclared cells; `structural_violations` checks that
+Construction rejects undeclared cells and indexes the cells by source and
+target (`FinBicat.into1`, `from2`, `over_into`, ...).  The domain of each
+binary and ternary table is walked through those indexes by one function
+(`composable_pairs`, `composable_triples`, `vertical_pairs`,
+`lwhisker_pairs`, `rwhisker_pairs`), in the order the table's rows are
+exported; the law checks and the table builders iterate these walks.
+`structural_violations` checks that
 every table is total and well typed, and `validate_bicat` runs that check
 and then the axioms exhaustively.  `eval_pasting` evaluates formal pasting
 expressions against the tables; its leaves are table lookups (`assoc_cell`,
@@ -121,7 +127,8 @@ class FinBicat:
             obj_pos[x] = i
         one_by_id: dict[str, OneCell] = {}
         homs: dict[tuple[str, str], list[str]] = {}
-        into: dict[str, list[OneCell]] = {}
+        from1: dict[str, list[OneCell]] = {}
+        into1: dict[str, list[OneCell]] = {}
         for c in self.one_cells:
             if c.id in one_by_id:
                 raise StructureError(f"{entry_name('one_cells', c.id)}: duplicate id")
@@ -130,9 +137,14 @@ class FinBicat:
                     raise StructureError(f"{entry_name('one_cells', c.id)}: undeclared object {x!r}")
             one_by_id[c.id] = c
             homs.setdefault((c.src, c.tgt), []).append(c.id)
-            into.setdefault(c.tgt, []).append(c)
+            from1.setdefault(c.src, []).append(c)
+            into1.setdefault(c.tgt, []).append(c)
         two_by_id: dict[str, TwoCell] = {}
         frames: dict[tuple[str, str], list[str]] = {}
+        from2: dict[str, list[TwoCell]] = {}
+        into2: dict[str, list[TwoCell]] = {}
+        over_from: dict[str, list[TwoCell]] = {}
+        over_into: dict[str, list[TwoCell]] = {}
         for t in self.two_cells:
             if t.id in two_by_id or t.id in one_by_id:
                 raise StructureError(f"{entry_name('two_cells', t.id)}: duplicate id")
@@ -144,6 +156,10 @@ class FinBicat:
                 raise StructureError(f"{entry_name('two_cells', t.id)}: non-parallel boundary")
             two_by_id[t.id] = t
             frames.setdefault((t.src, t.tgt), []).append(t.id)
+            from2.setdefault(t.src, []).append(t)
+            into2.setdefault(t.tgt, []).append(t)
+            over_from.setdefault(f.src, []).append(t)
+            over_into.setdefault(f.tgt, []).append(t)
         ob, one, two = obj_pos, one_by_id, two_by_id
         for name, key_sets, values in (  # each table's key parts and values
             ("id1", [ob], one), ("id2", [one], two),
@@ -171,8 +187,13 @@ class FinBicat:
             "one_pos": {x.id: i for i, x in enumerate(self.one_cells)},
             "two_pos": {x.id: i for i, x in enumerate(self.two_cells)},
             "homs": homs,
-            "into": into,
+            "from1": from1,
+            "into1": into1,
             "frames": frames,
+            "from2": from2,
+            "into2": into2,
+            "over_from": over_from,
+            "over_into": over_into,
             "inverse": {},
         }
 
@@ -199,12 +220,34 @@ class FinBicat:
     def hom1(self, x: str, y: str) -> list[str]:
         return self._cache["homs"].get((x, y), [])
 
+    # Each index below lists cells in declaration order.
+
+    def from1(self, x: str) -> list[OneCell]:
+        """1-cells with source ``x``."""
+        return self._cache["from1"].get(x, [])
+
     def into1(self, y: str) -> list[OneCell]:
-        """1-cells with target ``y``, in declaration order."""
-        return self._cache["into"].get(y, [])
+        """1-cells with target ``y``."""
+        return self._cache["into1"].get(y, [])
 
     def cells2(self, f: str, g: str) -> list[str]:
         return self._cache["frames"].get((f, g), [])
+
+    def from2(self, f: str) -> list[TwoCell]:
+        """2-cells with source 1-cell ``f``."""
+        return self._cache["from2"].get(f, [])
+
+    def into2(self, g: str) -> list[TwoCell]:
+        """2-cells with target 1-cell ``g``."""
+        return self._cache["into2"].get(g, [])
+
+    def over_from(self, x: str) -> list[TwoCell]:
+        """2-cells between 1-cells with source object ``x``."""
+        return self._cache["over_from"].get(x, [])
+
+    def over_into(self, y: str) -> list[TwoCell]:
+        """2-cells between 1-cells with target object ``y``."""
+        return self._cache["over_into"].get(y, [])
 
     def pos1(self, f: str) -> int:
         return self._cache["one_pos"][f]
@@ -636,11 +679,43 @@ class ValidationReport:
         return {v.law for v in self.violations}
 
 
+# The domain of each binary and ternary table, walked through the indexes in
+# the order `export_presentation` writes the table's rows.
+
+
 def composable_pairs(B: FinBicat) -> Iterator[tuple[OneCell, OneCell]]:
-    """Pairs ``(g, f)`` with ``src(g) == tgt(f)``, in declaration order."""
+    """Keys ``(g, f)`` of ``hcomp1``: ``src(g) == tgt(f)``."""
     for g in B.one_cells:
         for f in B.into1(g.src):
             yield g, f
+
+
+def composable_triples(B: FinBicat) -> Iterator[tuple[OneCell, OneCell, OneCell]]:
+    """Keys ``(h, g, f)`` of ``assoc``: ``src(h) == tgt(g)`` and ``src(g) == tgt(f)``."""
+    for h, g in composable_pairs(B):
+        for f in B.into1(g.src):
+            yield h, g, f
+
+
+def vertical_pairs(B: FinBicat) -> Iterator[tuple[TwoCell, TwoCell]]:
+    """Keys ``(b, a)`` of ``vcomp``: ``tgt1(a) == src1(b)``."""
+    for b in B.two_cells:
+        for a in B.into2(b.src):
+            yield b, a
+
+
+def lwhisker_pairs(B: FinBicat) -> Iterator[tuple[OneCell, TwoCell]]:
+    """Keys ``(g, a)`` of ``whisk_left``: ``a`` lies over 1-cells into ``src(g)``."""
+    for g in B.one_cells:
+        for a in B.over_into(g.src):
+            yield g, a
+
+
+def rwhisker_pairs(B: FinBicat) -> Iterator[tuple[TwoCell, OneCell]]:
+    """Keys ``(b, f)`` of ``whisk_right``: ``b`` lies over 1-cells out of ``tgt(f)``."""
+    for b in B.two_cells:
+        for f in B.into1(B.one(b.src).src):
+            yield b, f
 
 
 def table_violations(
@@ -696,17 +771,11 @@ def structural_violations(B: FinBicat) -> list[Violation]:
     of whiskerable pairs, and unitors of every 1-cell.  Each value must have
     the endpoints or boundary its key dictates.  Construction has already
     checked that keys and values are declared cells of the right kind.  The
-    domains are walked through by-target indexes, so the cost is linear in
-    the size of the tables.
+    domains are walked through the indexes, so the cost is linear in the
+    size of the tables.
     """
     one, two = B._cache["one_by_id"], B._cache["two_by_id"]
     H, I1 = B.hcomp1, B.id1
-    into2: dict[str, list[TwoCell]] = {}  # 2-cells by target 1-cell
-    over: dict[str, list[TwoCell]] = {}  # 2-cells by target object
-    for t in B.two_cells:
-        into2.setdefault(t.tgt, []).append(t)
-        over.setdefault(one[t.tgt].tgt, []).append(t)
-
     out = table_violations("id1", I1, ((x, (x, x)) for x in B.objects), one)
     out += table_violations("id2", B.id2, ((c.id, (c.id, c.id)) for c in B.one_cells), two)
     out += table_violations(
@@ -715,26 +784,24 @@ def structural_violations(B: FinBicat) -> list[Violation]:
     )
     out += table_violations(
         "vcomp", B.vcomp,
-        (((b.id, a.id), (a.src, b.tgt)) for b in B.two_cells for a in into2.get(b.src, ())),
+        (((b.id, a.id), (a.src, b.tgt)) for b, a in vertical_pairs(B)),
         two, lambda k: two[k[0]].src == two[k[1]].tgt, "a composable pair",
     )
     out += table_violations(
         "whisk_left", B.whisk_left,
-        (((g.id, a.id), (H.get((g.id, a.src)), H.get((g.id, a.tgt))))
-         for g in B.one_cells for a in over.get(g.src, ())),
+        (((g.id, a.id), (H.get((g.id, a.src)), H.get((g.id, a.tgt)))) for g, a in lwhisker_pairs(B)),
         two, lambda k: one[k[0]].src == one[two[k[1]].tgt].tgt, "a whiskerable pair",
     )
     out += table_violations(
         "whisk_right", B.whisk_right,
-        (((b.id, f.id), (H.get((b.src, f.id)), H.get((b.tgt, f.id))))
-         for b in B.two_cells for f in B.into1(one[b.src].src)),
+        (((b.id, f.id), (H.get((b.src, f.id)), H.get((b.tgt, f.id)))) for b, f in rwhisker_pairs(B)),
         two, lambda k: one[two[k[0]].src].src == one[k[1]].tgt, "a whiskerable pair",
     )
     out += table_violations(
         "assoc", B.assoc,
         (((h.id, g.id, f.id),
           (H.get((h.id, H.get((g.id, f.id)))), H.get((H.get((h.id, g.id)), f.id))))
-         for h, g in composable_pairs(B) for f in B.into1(g.src)),
+         for h, g, f in composable_triples(B)),
         two,
         lambda k: one[k[0]].src == one[k[1]].tgt and one[k[1]].src == one[k[2]].tgt,
         "a composable triple",
@@ -750,7 +817,7 @@ def structural_violations(B: FinBicat) -> list[Violation]:
 
 def _law_violations(B: FinBicat) -> list[Violation]:
     out: list[Violation] = []
-    V = B.vcomp
+    V, H, WL, WR, A = B.vcomp, B.hcomp1, B.whisk_left, B.whisk_right, B.assoc
     add = out.append
 
     two = B.two_cells
@@ -760,53 +827,38 @@ def _law_violations(B: FinBicat) -> list[Violation]:
             add(Violation("hom-category:unit", (a.id,), "right identity fails"))
         if V[(it, a.id)] != a.id:
             add(Violation("hom-category:unit", (a.id,), "left identity fails"))
-    by_src: dict[str, list[TwoCell]] = {}
-    for t in two:
-        by_src.setdefault(t.src, []).append(t)
     for a in two:
-        for b in by_src.get(a.tgt, []):
+        for b in B.from2(a.tgt):
             ba = V[(b.id, a.id)]
-            for c in by_src.get(b.tgt, []):
+            for c in B.from2(b.tgt):
                 if V[(c.id, ba)] != V[(V[(c.id, b.id)], a.id)]:
                     add(Violation("hom-category:assoc", (c.id, b.id, a.id), ""))
 
-    for g in B.one_cells:
-        for f in B.one_cells:
-            if g.src != f.tgt:
-                continue
-            gf = B.hcomp1[(g.id, f.id)]
-            if B.whisk_left[(g.id, B.id2[f.id])] != B.id2[gf]:
-                add(Violation("whisker:identity", (g.id, f.id), "left whisker of identity"))
-            if B.whisk_right[(B.id2[g.id], f.id)] != B.id2[gf]:
-                add(Violation("whisker:identity", (g.id, f.id), "right whisker of identity"))
+    for g, f in composable_pairs(B):
+        gf = H[(g.id, f.id)]
+        if WL[(g.id, B.id2[f.id])] != B.id2[gf]:
+            add(Violation("whisker:identity", (g.id, f.id), "left whisker of identity"))
+        if WR[(B.id2[g.id], f.id)] != B.id2[gf]:
+            add(Violation("whisker:identity", (g.id, f.id), "right whisker of identity"))
     for a in two:
-        for b in by_src.get(a.tgt, []):
+        ao = B.one(a.src)
+        for b in B.from2(a.tgt):
             ba = V[(b.id, a.id)]
-            ao = B.one(a.src)
-            for g in B.one_cells:
-                if g.src == ao.tgt:
-                    lhs = B.whisk_left[(g.id, ba)]
-                    rhs = V[(B.whisk_left[(g.id, b.id)], B.whisk_left[(g.id, a.id)])]
-                    if lhs != rhs:
-                        add(Violation("whisker:compose", (g.id, b.id, a.id), "left whisker"))
-            for f in B.one_cells:
-                if f.tgt == ao.src:
-                    lhs = B.whisk_right[(ba, f.id)]
-                    rhs = V[(B.whisk_right[(b.id, f.id)], B.whisk_right[(a.id, f.id)])]
-                    if lhs != rhs:
-                        add(Violation("whisker:compose", (b.id, a.id, f.id), "right whisker"))
+            for g in B.from1(ao.tgt):
+                if WL[(g.id, ba)] != V[(WL[(g.id, b.id)], WL[(g.id, a.id)])]:
+                    add(Violation("whisker:compose", (g.id, b.id, a.id), "left whisker"))
+            for f in B.into1(ao.src):
+                if WR[(ba, f.id)] != V[(WR[(b.id, f.id)], WR[(a.id, f.id)])]:
+                    add(Violation("whisker:compose", (b.id, a.id, f.id), "right whisker"))
 
     for a in two:  # a: f ⇒ f' over (X → Y)
-        ao = B.one(a.src)
-        for b in two:  # b: g ⇒ g' over (Y → Z)
-            if B.one(b.src).src != ao.tgt:
-                continue
-            one = V[(B.whisk_right[(b.id, a.tgt)], B.whisk_left[(b.src, a.id)])]
-            other = V[(B.whisk_left[(b.tgt, a.id)], B.whisk_right[(b.id, a.src)])]
+        for b in B.over_from(B.one(a.src).tgt):  # b: g ⇒ g' over (Y → Z)
+            one = V[(WR[(b.id, a.tgt)], WL[(b.src, a.id)])]
+            other = V[(WL[(b.tgt, a.id)], WR[(b.id, a.src)])]
             if one != other:
                 add(Violation("interchange", (b.id, a.id), ""))
 
-    for key, th in B.assoc.items():
+    for key, th in A.items():
         if two_cell_inverse(B, th) is None:
             add(Violation("assoc:invertible", key, ""))
     for f in B.one_cells:
@@ -815,69 +867,53 @@ def _law_violations(B: FinBicat) -> list[Violation]:
         if two_cell_inverse(B, B.lunit[f.id]) is None:
             add(Violation("unitor:invertible", (f.id, "left"), ""))
 
-    comp_pairs = [(g, f) for g in B.one_cells for f in B.one_cells if g.src == f.tgt]
     for a in two:  # naturality of the associator in each slot
         ao = B.one(a.src)
-        for (g, f) in comp_pairs:
-            if g.tgt == ao.src:  # slot h
-                gf = B.hcomp1[(g.id, f.id)]
-                lhs = V[(B.assoc[(a.tgt, g.id, f.id)], B.whisk_right[(a.id, gf)])]
-                rhs = V[(B.whisk_right[(B.whisk_right[(a.id, g.id)], f.id)], B.assoc[(a.src, g.id, f.id)])]
+        for g in B.into1(ao.src):  # slot h
+            for f in B.into1(g.src):
+                lhs = V[(A[(a.tgt, g.id, f.id)], WR[(a.id, H[(g.id, f.id)])])]
+                rhs = V[(WR[(WR[(a.id, g.id)], f.id)], A[(a.src, g.id, f.id)])]
                 if lhs != rhs:
                     add(Violation("assoc:natural", (a.id, g.id, f.id), "outer slot"))
-        for h in B.one_cells:
-            for f in B.one_cells:
-                if h.src == ao.tgt and f.tgt == ao.src:  # slot g
-                    lhs = V[(B.assoc[(h.id, a.tgt, f.id)], B.whisk_left[(h.id, B.whisk_right[(a.id, f.id)])])]
-                    rhs = V[(B.whisk_right[(B.whisk_left[(h.id, a.id)], f.id)], B.assoc[(h.id, a.src, f.id)])]
-                    if lhs != rhs:
-                        add(Violation("assoc:natural", (h.id, a.id, f.id), "middle slot"))
-        for (h, g) in comp_pairs:
-            if g.src == ao.tgt:  # slot f
-                hg = B.hcomp1[(h.id, g.id)]
-                lhs = V[(B.assoc[(h.id, g.id, a.tgt)], B.whisk_left[(h.id, B.whisk_left[(g.id, a.id)])])]
-                rhs = V[(B.whisk_left[(hg, a.id)], B.assoc[(h.id, g.id, a.src)])]
+        for h in B.from1(ao.tgt):  # slot g
+            for f in B.into1(ao.src):
+                lhs = V[(A[(h.id, a.tgt, f.id)], WL[(h.id, WR[(a.id, f.id)])])]
+                rhs = V[(WR[(WL[(h.id, a.id)], f.id)], A[(h.id, a.src, f.id)])]
                 if lhs != rhs:
-                    add(Violation("assoc:natural", (h.id, g.id, a.id), "inner slot"))
+                    add(Violation("assoc:natural", (h.id, a.id, f.id), "middle slot"))
+        for h in B.one_cells:  # slot f
+            for g in B.hom1(ao.tgt, h.src):
+                lhs = V[(A[(h.id, g, a.tgt)], WL[(h.id, WL[(g, a.id)])])]
+                rhs = V[(WL[(H[(h.id, g)], a.id)], A[(h.id, g, a.src)])]
+                if lhs != rhs:
+                    add(Violation("assoc:natural", (h.id, g, a.id), "inner slot"))
 
     for a in two:
         ao = B.one(a.src)
-        lhs = V[(B.runit[a.tgt], B.whisk_right[(a.id, B.id1[ao.src])])]
+        lhs = V[(B.runit[a.tgt], WR[(a.id, B.id1[ao.src])])]
         if lhs != V[(a.id, B.runit[a.src])]:
             add(Violation("unitor:natural", (a.id, "right"), ""))
-        lhs = V[(B.lunit[a.tgt], B.whisk_left[(B.id1[ao.tgt], a.id)])]
+        lhs = V[(B.lunit[a.tgt], WL[(B.id1[ao.tgt], a.id)])]
         if lhs != V[(a.id, B.lunit[a.src])]:
             add(Violation("unitor:natural", (a.id, "left"), ""))
 
-    for k in B.one_cells:
-        for h in B.one_cells:
-            if h.tgt != k.src:
-                continue
-            for g in B.one_cells:
-                if g.tgt != h.src:
-                    continue
-                for f in B.one_cells:
-                    if f.tgt != g.src:
-                        continue
-                    kh = B.hcomp1[(k.id, h.id)]
-                    hg = B.hcomp1[(h.id, g.id)]
-                    gf = B.hcomp1[(g.id, f.id)]
-                    two_step = V[(B.assoc[(kh, g.id, f.id)], B.assoc[(k.id, h.id, gf)])]
-                    three_step = V[(
-                        B.whisk_right[(B.assoc[(k.id, h.id, g.id)], f.id)],
-                        V[(B.assoc[(k.id, hg, f.id)], B.whisk_left[(k.id, B.assoc[(h.id, g.id, f.id)])])],
-                    )]
-                    if two_step != three_step:
-                        add(Violation("pentagon", (k.id, h.id, g.id, f.id), ""))
+    for k, h, g in composable_triples(B):
+        kh, hg = H[(k.id, h.id)], H[(h.id, g.id)]
+        khg = A[(k.id, h.id, g.id)]
+        for f in B.into1(g.src):
+            gf = H[(g.id, f.id)]
+            two_step = V[(A[(kh, g.id, f.id)], A[(k.id, h.id, gf)])]
+            three_step = V[(
+                WR[(khg, f.id)],
+                V[(A[(k.id, hg, f.id)], WL[(k.id, A[(h.id, g.id, f.id)])])],
+            )]
+            if two_step != three_step:
+                add(Violation("pentagon", (k.id, h.id, g.id, f.id), ""))
 
-    for g in B.one_cells:
-        for f in B.one_cells:
-            if g.src != f.tgt:
-                continue
-            mid = B.id1[f.tgt]
-            lhs = V[(B.whisk_right[(B.runit[g.id], f.id)], B.assoc[(g.id, mid, f.id)])]
-            if lhs != B.whisk_left[(g.id, B.lunit[f.id])]:
-                add(Violation("triangle", (g.id, f.id), ""))
+    for g, f in composable_pairs(B):
+        lhs = V[(WR[(B.runit[g.id], f.id)], A[(g.id, B.id1[f.tgt], f.id)])]
+        if lhs != WL[(g.id, B.lunit[f.id])]:
+            add(Violation("triangle", (g.id, f.id), ""))
     return out
 
 

@@ -5,7 +5,10 @@ the class, and its 2-cells are equivalence classes of span maps
 (`TwoCellRep`).  Because everything is finite, the localized bicategory can
 be *materialized*: every span, every representative, every class and every
 structural table is enumerated explicitly, producing an ordinary `FinBicat`
-that is then run through the full validator.
+that is then run through the full validator.  The spans and classes are
+declared first; the composition, whiskering and coherence tables are then
+filled by walking the new `FinBicat`'s own domains (`core.composable_pairs`
+and its siblings).
 
 The decision procedure for 2-cells is `reps_equivalent`: two representatives
 are identified when a common refinement of their apexes aligns both their
@@ -44,13 +47,17 @@ from .core import (
     _components_identity,
     assoc_cell,
     assoc_inv_cell,
+    composable_pairs,
+    composable_triples,
     inv_cells2,
     inverse_cell,
     is_invertible2,
     lunit_cell,
     lwhisker_cell,
+    lwhisker_pairs,
     runit_cell,
     rwhisker_cell,
+    rwhisker_pairs,
     two_cell_inverse,
     validate_bicat,
     vfold,
@@ -146,24 +153,14 @@ class Filler:
     rho: str
 
 
-def enumerate_spans(
-    B: FinBicat, W: WClass, src: Optional[str] = None, tgt: Optional[str] = None
-) -> list[Span]:
+def enumerate_spans(B: FinBicat, W: WClass) -> list[Span]:
     """All spans with backward leg in ``W``, in declaration order."""
-    out = []
-    for apex in B.objects:
-        for back in B.one_cells:
-            if back.src != apex or back.id not in W:
-                continue
-            if src is not None and back.tgt != src:
-                continue
-            for fwd in B.one_cells:
-                if fwd.src != apex:
-                    continue
-                if tgt is not None and fwd.tgt != tgt:
-                    continue
-                out.append(Span(apex, back.id, fwd.id))
-    return out
+    return [
+        Span(apex, back.id, fwd.id)
+        for apex in B.objects
+        for back in B.from1(apex) if back.id in W
+        for fwd in B.from1(apex)
+    ]
 
 
 def rep_sort_key(B: FinBicat, r: TwoCellRep):
@@ -281,9 +278,10 @@ class TwoCellClass:
 def compose_spans(
     B: FinBicat, W: WClass, outer: Span, inner: Span
 ) -> tuple[Span, Filler]:
-    """Composite span ``outer∘inner`` through the least filler square."""
-    if inner.tgt_obj(B) != outer.src_obj(B):
-        raise StructureError("spans are not composable")
+    """Composite span ``outer∘inner`` through the least filler square.
+
+    `find_bf3_filler` raises `StructureError` when the spans do not compose.
+    """
     raw = find_bf3_filler(B, W, outer.back, inner.forward)
     if raw is None:
         raise PreconditionError(
@@ -410,10 +408,7 @@ def materialize_fractions(
 
     spans = enumerate_spans(B, W)
     sids = {s.id: s for s in spans}
-    span_pos = {s.id: i for i, s in enumerate(spans)}
-    one_cells = tuple(
-        OneCell(s.id, s.src_obj(B), s.tgt_obj(B)) for s in spans
-    )
+    one_cells = tuple(OneCell(s.id, s.src_obj(B), s.tgt_obj(B)) for s in spans)
     id1 = {}
     for X in B.objects:
         s = Span(X, B.id1[X], B.id1[X])
@@ -421,33 +416,19 @@ def materialize_fractions(
             raise PreconditionError(f"identity span missing at {X!r}")
         id1[X] = s.id
 
-    fillers: dict[tuple[str, str], Filler] = {}
-    hcomp1: dict[tuple[str, str], str] = {}
-    for so in spans:
-        for si in spans:
-            if si.tgt_obj(B) != so.src_obj(B):
-                continue
-            comp, filler = compose_spans(B, W, so, si)
-            key = (so.id, si.id)
-            fillers[key] = filler
-            hcomp1[key] = comp.id
-
-    frames: dict[tuple[str, str], list[TwoCellRep]] = {}
-    for s1 in spans:
-        for s2 in spans:
-            if (s1.src_obj(B), s1.tgt_obj(B)) != (s2.src_obj(B), s2.tgt_obj(B)):
-                continue
-            frames[(s1.id, s2.id)] = enumerate_reps(B, W, s1, s2)
+    # Frames are pairs of parallel spans; the classes are not known yet, so
+    # the localization's own index cannot list them.
+    parallel: dict[tuple[str, str], list[Span]] = {}
+    for s, c in zip(spans, one_cells):
+        parallel.setdefault((c.src, c.tgt), []).append(s)
+    frames = [(s1, s2) for s1, c in zip(spans, one_cells) for s2 in parallel[(c.src, c.tgt)]]
 
     classes: dict[str, TwoCellClass] = {}
     rep_to_class: dict[tuple[str, str], dict[TwoCellRep, str]] = {}
     two_cells: list[TwoCell] = []
-    frame_keys = sorted(
-        frames, key=lambda k: (span_pos[k[0]], span_pos[k[1]])
-    )
-    for key in frame_keys:
-        s1, s2 = sids[key[0]], sids[key[1]]
-        reps = sorted(frames[key], key=lambda r: rep_sort_key(B, r))
+    for s1, s2 in frames:
+        key = (s1.id, s2.id)
+        reps = sorted(enumerate_reps(B, W, s1, s2), key=lambda r: rep_sort_key(B, r))
         uf = _UnionFind(len(reps))
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
@@ -488,6 +469,29 @@ def materialize_fractions(
         )
         id2[sid] = locate(s, s, rep)
 
+    # The cells are known, so every remaining table is filled by walking the
+    # localization's own domains.
+    mat = FinBicat(
+        objects=B.objects,
+        one_cells=one_cells,
+        two_cells=tuple(two_cells),
+        id1=id1,
+        id2=id2,
+        hcomp1={},
+        vcomp={},
+        whisk_left={},
+        whisk_right={},
+        assoc={},
+        runit={},
+        lunit={},
+        name=name or f"{B.name}[{W.name or 'W'}^-1]",
+    )
+    hcomp1 = mat.hcomp1
+    fillers: dict[tuple[str, str], Filler] = {}
+    for g, f in composable_pairs(mat):
+        comp, fillers[(g.id, f.id)] = compose_spans(B, W, sids[g.id], sids[f.id])
+        hcomp1[(g.id, f.id)] = comp.id
+
     def h1(g: str, f: str) -> str:
         return B.hcomp1[(g, f)]
 
@@ -525,14 +529,11 @@ def materialize_fractions(
             f"no composition site for classes over {S1.id!r} ⇒ {S3.id!r}"
         )
 
-    vcomp: dict[tuple[str, str], str] = {}
-    for c1 in classes.values():
-        for c2 in classes.values():
-            if c1.tgt.id != c2.src.id:
-                continue
-            vcomp[(c2.id, c1.id)] = compose_classes(
-                c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep
-            )
+    for a in mat.two_cells:
+        c1 = classes[a.id]
+        for b in mat.from2(a.tgt):
+            c2 = classes[b.id]
+            mat.vcomp[(b.id, a.id)] = compose_classes(c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep)
 
     def whisk_right_class(psi_cls: TwoCellClass, S: Span) -> str:
         """Class of ``psi ∗ i_S`` for ``psi: T1 ⇒ T2`` and a span ``S``."""
@@ -659,36 +660,10 @@ def materialize_fractions(
             f"no whiskering site for {T.id!r} ∗ {phi_cls.id!r}"
         )
 
-    whisk_left: dict[tuple[str, str], str] = {}
-    for g in spans:
-        for c in classes.values():
-            if c.src.tgt_obj(B) != g.src_obj(B):
-                continue
-            whisk_left[(g.id, c.id)] = whisk_left_class(g, c)
-    whisk_right: dict[tuple[str, str], str] = {}
-    for c in classes.values():
-        for f in spans:
-            if f.tgt_obj(B) != c.src.src_obj(B):
-                continue
-            whisk_right[(c.id, f.id)] = whisk_right_class(c, f)
-
-    # Inverses depend only on id2 and vcomp, so the coherence tables can be
-    # filled in from the built localization's own inverse search.
-    mat = FinBicat(
-        objects=B.objects,
-        one_cells=one_cells,
-        two_cells=tuple(two_cells),
-        id1=id1,
-        id2=id2,
-        hcomp1=hcomp1,
-        vcomp=vcomp,
-        whisk_left=whisk_left,
-        whisk_right=whisk_right,
-        assoc={},
-        runit={},
-        lunit={},
-        name=name or f"{B.name}[{W.name or 'W'}^-1]",
-    )
+    for g, a in lwhisker_pairs(mat):
+        mat.whisk_left[(g.id, a.id)] = whisk_left_class(sids[g.id], classes[a.id])
+    for b, f in rwhisker_pairs(mat):
+        mat.whisk_right[(b.id, f.id)] = whisk_right_class(classes[b.id], sids[f.id])
 
     def invertible_class(src_sid: str, tgt_sid: str, context: str) -> str:
         """Least class in the frame that is invertible for the built tables."""
@@ -697,28 +672,15 @@ def materialize_fractions(
             raise LocalizationError(f"no invertible class for {context}: {src_sid!r} ⇒ {tgt_sid!r}")
         return found[0]
 
-    for hs in spans:
-        for gs in spans:
-            if hs.src_obj(B) != gs.tgt_obj(B):
-                continue
-            hg = hcomp1[(hs.id, gs.id)]
-            for fs in spans:
-                if gs.src_obj(B) != fs.tgt_obj(B):
-                    continue
-                gf = hcomp1[(gs.id, fs.id)]
-                lhs = hcomp1[(hs.id, gf)]
-                rhs = hcomp1[(hg, fs.id)]
-                mat.assoc[(hs.id, gs.id, fs.id)] = invertible_class(
-                    lhs, rhs, "associator"
-                )
-    for s in spans:
-        sid = s.id
-        mat.runit[sid] = invertible_class(
-            hcomp1[(sid, id1[s.src_obj(B)])], sid, "right unitor"
-        )
-        mat.lunit[sid] = invertible_class(
-            hcomp1[(id1[s.tgt_obj(B)], sid)], sid, "left unitor"
-        )
+    # Inverses depend only on id2 and vcomp, so the coherence tables can be
+    # filled in from the localization's own inverse search.
+    for h, g, f in composable_triples(mat):
+        lhs = hcomp1[(h.id, hcomp1[(g.id, f.id)])]
+        rhs = hcomp1[(hcomp1[(h.id, g.id)], f.id)]
+        mat.assoc[(h.id, g.id, f.id)] = invertible_class(lhs, rhs, "associator")
+    for c in mat.one_cells:
+        mat.runit[c.id] = invertible_class(hcomp1[(c.id, id1[c.src])], c.id, "right unitor")
+        mat.lunit[c.id] = invertible_class(hcomp1[(id1[c.tgt], c.id)], c.id, "left unitor")
     mat.strict = _components_identity(mat)
 
     if validate:
@@ -765,30 +727,27 @@ def universal_functor_data(loc: Localization):
             Span(A, idA, f.id), Span(A, idA, g.id), rep
         )
     psi = {}
-    for gc in B.one_cells:
-        for fc in B.one_cells:
-            if gc.src != fc.tgt:
-                continue
-            A = fc.src
-            idA = B.id1[A]
-            ug = f1[gc.id]
-            uf = f1[fc.id]
-            filler = loc.fillers[(ug, uf)]
-            D, vp, fp = filler.apex, filler.left, filler.right
-            idD = B.id1[D]
-            gf = B.hcomp1[(gc.id, fc.id)]
-            alpha = inverse_cell(B, runit_cell(B, B.hcomp1[(idA, vp)]))
-            beta = vfold(
-                B,
-                assoc_inv_cell(B, gc.id, fc.id, vp),
-                lwhisker_cell(B, gc.id, filler.rho),
-                lwhisker_cell(B, gc.id, lunit_cell(B, fp)),
-                inverse_cell(B, runit_cell(B, B.hcomp1[(gc.id, fp)])),
-            )
-            rep = TwoCellRep(D, vp, idD, alpha, beta)
-            src_span = Span(A, idA, gf)
-            tgt_span = loc.span(loc.bicat.hcomp1[(ug, uf)])
-            psi[(gc.id, fc.id)] = loc.class_of(src_span, tgt_span, rep)
+    for gc, fc in composable_pairs(B):
+        A = fc.src
+        idA = B.id1[A]
+        ug = f1[gc.id]
+        uf = f1[fc.id]
+        filler = loc.fillers[(ug, uf)]
+        D, vp, fp = filler.apex, filler.left, filler.right
+        idD = B.id1[D]
+        gf = B.hcomp1[(gc.id, fc.id)]
+        alpha = inverse_cell(B, runit_cell(B, B.hcomp1[(idA, vp)]))
+        beta = vfold(
+            B,
+            assoc_inv_cell(B, gc.id, fc.id, vp),
+            lwhisker_cell(B, gc.id, filler.rho),
+            lwhisker_cell(B, gc.id, lunit_cell(B, fp)),
+            inverse_cell(B, runit_cell(B, B.hcomp1[(gc.id, fp)])),
+        )
+        rep = TwoCellRep(D, vp, idD, alpha, beta)
+        src_span = Span(A, idA, gf)
+        tgt_span = loc.span(loc.bicat.hcomp1[(ug, uf)])
+        psi[(gc.id, fc.id)] = loc.class_of(src_span, tgt_span, rep)
     sigma = {}
     for X in B.objects:
         sigma[X] = loc.bicat.id2[loc.bicat.id1[X]]

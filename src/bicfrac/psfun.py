@@ -27,6 +27,7 @@ from .core import (
     Violation,
     PreconditionError,
     composable_pairs,
+    composable_triples,
     hcompose2,
     inv_cells2,
     is_invertible2,
@@ -34,6 +35,7 @@ from .core import (
     two_cell_inverse,
     vcompose,
     vcompose_all,
+    vertical_pairs,
     whisker_left,
     whisker_right,
 )
@@ -124,14 +126,11 @@ def _psfun_law_violations(F: PsFun) -> list[Violation]:
     for c in S.one_cells:
         if F.f2[S.id2[c.id]] != T.id2[F.f1[c.id]]:
             add(Violation("psfun:identities", (c.id,), "identity 2-cell not preserved"))
-    for b in S.two_cells:
-        for a in S.two_cells:
-            if a.tgt != b.src:
-                continue
-            lhs = F.f2[S.vcomp[(b.id, a.id)]]
-            rhs = T.vcomp[(F.f2[b.id], F.f2[a.id])]
-            if lhs != rhs:
-                add(Violation("psfun:vertical", (b.id, a.id), "composite not preserved"))
+    for b, a in vertical_pairs(S):
+        lhs = F.f2[S.vcomp[(b.id, a.id)]]
+        rhs = T.vcomp[(F.f2[b.id], F.f2[a.id])]
+        if lhs != rhs:
+            add(Violation("psfun:vertical", (b.id, a.id), "composite not preserved"))
 
     for key, p in F.psi.items():
         if not is_invertible2(T, p):
@@ -143,10 +142,7 @@ def _psfun_law_violations(F: PsFun) -> list[Violation]:
         return out
 
     for b in S.two_cells:  # b: g ⇒ g'
-        go = S.one(b.src)
-        for a in S.two_cells:  # a: f ⇒ f'
-            if S.one(a.src).tgt != go.src:
-                continue
+        for a in S.over_into(S.one(b.src).src):  # a: f ⇒ f'
             lhs = vcompose(
                 T,
                 F.psi[(b.tgt, a.tgt)],
@@ -160,27 +156,21 @@ def _psfun_law_violations(F: PsFun) -> list[Violation]:
             if lhs != rhs:
                 add(Violation("psfun:compositor-natural", (b.id, a.id), ""))
 
-    for h in S.one_cells:
-        for g in S.one_cells:
-            if h.src != g.tgt:
-                continue
-            hg = S.hcomp1[(h.id, g.id)]
-            for f in S.one_cells:
-                if g.src != f.tgt:
-                    continue
-                gf = S.hcomp1[(g.id, f.id)]
-                route1 = vcompose_all(T, [
-                    F.f2[S.assoc[(h.id, g.id, f.id)]],
-                    F.psi[(hg, f.id)],
-                    whisker_right(T, F.psi[(h.id, g.id)], F.f1[f.id]),
-                ])
-                route2 = vcompose_all(T, [
-                    F.psi[(h.id, gf)],
-                    whisker_left(T, F.f1[h.id], F.psi[(g.id, f.id)]),
-                    T.assoc[(F.f1[h.id], F.f1[g.id], F.f1[f.id])],
-                ])
-                if route1 != route2:
-                    add(Violation("psfun:hexagon", (h.id, g.id, f.id), ""))
+    for h, g, f in composable_triples(S):
+        hg = S.hcomp1[(h.id, g.id)]
+        gf = S.hcomp1[(g.id, f.id)]
+        route1 = vcompose_all(T, [
+            F.f2[S.assoc[(h.id, g.id, f.id)]],
+            F.psi[(hg, f.id)],
+            whisker_right(T, F.psi[(h.id, g.id)], F.f1[f.id]),
+        ])
+        route2 = vcompose_all(T, [
+            F.psi[(h.id, gf)],
+            whisker_left(T, F.f1[h.id], F.psi[(g.id, f.id)]),
+            T.assoc[(F.f1[h.id], F.f1[g.id], F.f1[f.id])],
+        ])
+        if route1 != route2:
+            add(Violation("psfun:hexagon", (h.id, g.id, f.id), ""))
 
     for c in S.one_cells:
         fid = F.f1[c.id]
@@ -319,18 +309,15 @@ def induce_g_tilde(
         f2[t.id] = g_tilde_on_two_cell(F, source_loc, target_loc, t.id)
 
     psi = {}
-    for g in SB.one_cells:
-        for f in SB.one_cells:
-            if g.src != f.tgt:
-                continue
-            src_cell = f1[SB.hcomp1[(g.id, f.id)]]
-            tgt_cell = TB.hcomp1[(f1[g.id], f1[f.id])]
-            cands = inv_cells2(TB, src_cell, tgt_cell)
-            if not cands:
-                raise LocalizationError(
-                    f"no invertible comparison class at ({g.id!r}, {f.id!r})"
-                )
-            psi[(g.id, f.id)] = cands[0]
+    for g, f in composable_pairs(SB):
+        src_cell = f1[SB.hcomp1[(g.id, f.id)]]
+        tgt_cell = TB.hcomp1[(f1[g.id], f1[f.id])]
+        cands = inv_cells2(TB, src_cell, tgt_cell)
+        if not cands:
+            raise LocalizationError(
+                f"no invertible comparison class at ({g.id!r}, {f.id!r})"
+            )
+        psi[(g.id, f.id)] = cands[0]
     sigma = {}
     for x in SB.objects:
         src_cell = f1[SB.id1[x]]

@@ -194,9 +194,7 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
 
     v2 = AxiomVerdict("BF2", True)
     for w2 in sorted_members(B, W):
-        for w1 in sorted_members(B, W):
-            if B.one(w2).src != B.one(w1).tgt:
-                continue
+        for w1 in (c.id for c in B.into1(B.one(w2).src) if c.id in W):
             v2.checked += 1
             comp = B.hcomp1[(w2, w1)]
             if comp not in W:
@@ -210,10 +208,7 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
 
     v3 = AxiomVerdict("BF3", True)
     for w in sorted_members(B, W):
-        Bobj = B.one(w).tgt
-        for f in B.one_cells:
-            if f.tgt != Bobj:
-                continue
+        for f in B.into1(B.one(w).tgt):
             v3.checked += 1
             filler = find_bf3_filler(B, W, w, f.id)
             if filler is None:
@@ -231,25 +226,21 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
     cb = AxiomVerdict("BF4:b", True)
     cc = AxiomVerdict("BF4:c", True)
     for w in sorted_members(B, W):
-        wc = B.one(w)
-        for f in B.one_cells:
-            if f.tgt != wc.src:
-                continue
-            for g in B.one_cells:
-                if (g.src, g.tgt) != (f.src, f.tgt):
-                    continue
-                wf = B.hcomp1[(w, f.id)]
-                wg = B.hcomp1[(w, g.id)]
+        for fc in B.into1(B.one(w).src):
+            f = fc.id
+            for g in B.hom1(fc.src, fc.tgt):
+                wf = B.hcomp1[(w, f)]
+                wg = B.hcomp1[(w, g)]
                 for alpha in B.cells2(wf, wg):
-                    sols = _bf4_solutions(B, W, w, f.id, g.id, alpha)
+                    sols = _bf4_solutions(B, W, w, f, g, alpha)
                     ca.checked += 1
                     if ca.holds:
                         if not sols:
                             ca.holds = False
-                            ca.counterexample = (w, f.id, g.id, alpha)
+                            ca.counterexample = (w, f, g, alpha)
                             ca.detail = "no class member transfers the 2-cell"
                         elif ca.witness is None:
-                            ca.witness = ((w, f.id, g.id, alpha), sols[0])
+                            ca.witness = ((w, f, g, alpha), sols[0])
                     if two_cell_inverse(B, alpha) is not None:
                         cb.checked += 1
                         if cb.holds:
@@ -258,22 +249,22 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
                             ]
                             if not inv_sols:
                                 cb.holds = False
-                                cb.counterexample = (w, f.id, g.id, alpha)
+                                cb.counterexample = (w, f, g, alpha)
                                 cb.detail = "no invertible transfer for invertible input"
                             elif cb.witness is None:
-                                cb.witness = ((w, f.id, g.id, alpha), inv_sols[0])
+                                cb.witness = ((w, f, g, alpha), inv_sols[0])
                     if cc.holds:
                         for i, s1 in enumerate(sols):
                             for s2 in sols[i:]:
                                 cc.checked += 1
-                                ref = _bf4c_refinement(B, W, f.id, g.id, s1, s2)
+                                ref = _bf4c_refinement(B, W, f, g, s1, s2)
                                 if ref is None:
                                     cc.holds = False
-                                    cc.counterexample = (w, f.id, g.id, alpha, s1, s2)
+                                    cc.counterexample = (w, f, g, alpha, s1, s2)
                                     cc.detail = "two transfers admit no common refinement"
                                     break
                                 if cc.witness is None:
-                                    cc.witness = ((w, f.id, g.id, alpha, s1, s2), ref)
+                                    cc.witness = ((w, f, g, alpha, s1, s2), ref)
                             if not cc.holds:
                                 break
 
@@ -291,18 +282,15 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
 
     v5 = AxiomVerdict("BF5", True)
     for w in sorted_members(B, W):
-        targets = sorted({t.tgt for t in B.two_cells if t.src == w}, key=B.pos1)
-        for tgt in targets:
-            for alpha in B.cells2(w, tgt):
-                if two_cell_inverse(B, alpha) is None:
-                    continue
-                v5.checked += 1
-                if tgt not in W:
-                    v5.holds = False
-                    v5.counterexample = (w, alpha, tgt)
-                    v5.detail = f"isomorphic 1-cell {tgt!r} escapes the class"
-                    break
-            if not v5.holds:
+        # By target 1-cell, then in declaration order (the sort is stable).
+        for alpha in sorted(B.from2(w), key=lambda t: B.pos1(t.tgt)):
+            if two_cell_inverse(B, alpha.id) is None:
+                continue
+            v5.checked += 1
+            if alpha.tgt not in W:
+                v5.holds = False
+                v5.counterexample = (w, alpha.id, alpha.tgt)
+                v5.detail = f"isomorphic 1-cell {alpha.tgt!r} escapes the class"
                 break
         if not v5.holds:
             break
@@ -328,12 +316,12 @@ def saturate(B: FinBicat, W: WClass) -> SaturationResult:
     """
     found: dict[str, tuple[str, str]] = {}
     for f in B.one_cells:
-        for g in B.one_cells:
-            if g.tgt != f.src or B.hcomp1[(f.id, g.id)] not in W:
+        for g in B.into1(f.src):
+            if B.hcomp1[(f.id, g.id)] not in W:
                 continue
             hit = None
-            for h in B.one_cells:
-                if h.tgt == g.src and B.hcomp1[(g.id, h.id)] in W:
+            for h in B.into1(g.src):
+                if B.hcomp1[(g.id, h.id)] in W:
                     hit = h.id
                     break
             if hit is not None:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -18,10 +19,15 @@ from bicfrac.core import (
     PreconditionError,
     WhiskL,
     WhiskR,
+    composable_pairs,
+    composable_triples,
     eval_pasting,
     inv_cells2,
+    lwhisker_pairs,
+    rwhisker_pairs,
     validate_bicat,
     vchain,
+    vertical_pairs,
 )
 from bicfrac.fractions import (
     LocalizationError,
@@ -327,3 +333,33 @@ def test_localization_documents_match_the_pinned_digests():
         text = export_presentation(Presentation(L, {}, {}, L.name))
         got[label] = hashlib.sha256(text.encode()).hexdigest()
     assert got == LOCALIZATION_DIGESTS
+
+
+WALKS = {
+    "hcomp1": composable_pairs,
+    "vcomp": vertical_pairs,
+    "whisk_left": lwhisker_pairs,
+    "whisk_right": rwhisker_pairs,
+    "assoc": composable_triples,
+}
+
+
+def assert_walks_are_the_table_domains(B: FinBicat) -> None:
+    """Each walk yields its table's keys, each once, in the exported row order."""
+    rows = json.loads(export_presentation(Presentation(B, {}, {}, B.name)))
+    for table, walk in WALKS.items():
+        keys = [tuple(cell.id for cell in cells) for cells in walk(B)]
+        assert keys == [tuple(row[:-1]) for row in rows[table]], (B.name, table)
+
+
+def test_domain_walks_are_the_table_domains():
+    docs = [load_document(str(p)) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+    assert "discrete2" in {d.bicat.name for d in docs}
+    cases = fixture_bf_classes()
+    for family, size in GENERATED:
+        cases += generated_classes(family, size)
+    assert len(docs) == 8 and len(cases) == len(LOCALIZATION_DIGESTS)
+    for doc in docs:
+        assert_walks_are_the_table_domains(doc.bicat)
+    for _, B, W in cases:
+        assert_walks_are_the_table_domains(materialize_fractions(B, W, validate=False).bicat)
