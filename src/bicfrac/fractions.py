@@ -207,20 +207,6 @@ def enumerate_reps(B: FinBicat, W: WClass, S1: Span, S2: Span) -> list[TwoCellRe
     return out
 
 
-def _refinement_routes_agree(
-    B: FinBicat, back1: str, back2: str, a1z: str, a2zp: str, z1: str, z2: str,
-) -> bool:
-    """Route equality over one leg pair (backward or forward) of two reps.
-
-    ``back1/back2`` are the span legs, ``a1z`` and ``a2zp`` the two reps'
-    2-cells over that pair restricted along ``z`` and ``zp`` (`_restrict`),
-    ``z1: leg1∘z ⇒ leg1'∘zp`` and ``z2: leg2∘z ⇒ leg2'∘zp`` the refinement
-    2-cells.
-    """
-    lhs = vfold(B, a1z, lwhisker_cell(B, back2, z2))
-    return lhs == vfold(B, lwhisker_cell(B, back1, z1), a2zp)
-
-
 def rep_equivalence_witness(
     B: FinBicat, W: WClass, S1: Span, S2: Span, r1: TwoCellRep, r2: TwoCellRep
 ) -> Optional[tuple[str, str, str, str, str]]:
@@ -230,27 +216,41 @@ def rep_equivalence_witness(
     class, ``zeta1: leg1∘z ⇒ leg1'∘zp`` and ``zeta2: leg2∘z ⇒ leg2'∘zp``
     invertible, such that the refined backward-leg data of both
     representatives agree, and likewise the forward-leg data.
+
+    Over a leg pair ``(back1, back2)`` the data agree when
+    ``a1z ⊙ (back2 ∗ zeta2) == (back1 ∗ zeta1) ⊙ a2zp``, where ``a1z`` and
+    ``a2zp`` are the reps' 2-cells restricted along ``z`` and ``zp``
+    (`_restrict`).  The left side depends on ``(z, zeta2)`` only and the
+    right side on ``(zp, zeta1)`` only, so each is computed once per search,
+    at its first use, and a candidate pair costs two comparisons.
     """
     w1, w2, f1, f2 = S1.back, S2.back, S1.forward, S2.forward
-    alpha1 = _Memo(lambda z: _restrict(B, w1, r1.leg1, r1.alpha, w2, r1.leg2, z))
-    alpha2 = _Memo(lambda zp: _restrict(B, w1, r2.leg1, r2.alpha, w2, r2.leg2, zp))
-    beta1 = _Memo(lambda z: _restrict(B, f1, r1.leg1, r1.beta, f2, r1.leg2, z))
-    beta2 = _Memo(lambda zp: _restrict(B, f1, r2.leg1, r2.beta, f2, r2.leg2, zp))
+
+    def routes(back1: str, back2: str, c1: str, c2: str):
+        """The left side by ``z`` then ``zeta2``, the right side by ``zp`` then ``zeta1``."""
+        r1z = _Memo(lambda z: _restrict(B, back1, r1.leg1, c1, back2, r1.leg2, z))
+        r2zp = _Memo(lambda zp: _restrict(B, back1, r2.leg1, c2, back2, r2.leg2, zp))
+        lhs = _Memo(lambda z: _Memo(lambda zeta2: vfold(B, r1z[z], lwhisker_cell(B, back2, zeta2))))
+        rhs = _Memo(lambda zp: _Memo(lambda zeta1: vfold(B, lwhisker_cell(B, back1, zeta1), r2zp[zp])))
+        return lhs, rhs
+
+    back_lhs, back_rhs = routes(w1, w2, r1.alpha, r2.alpha)
+    fwd_lhs, fwd_rhs = routes(f1, f2, r1.beta, r2.beta)
     w1l1 = B.hcomp1[(w1, r1.leg1)]
     for E in B.objects:
         for z in B.hom1(E, r1.apex):
             if B.hcomp1[(w1l1, z)] not in W:
                 continue
+            bl, fl = back_lhs[z], fwd_lhs[z]
             for zp in B.hom1(E, r2.apex):
+                br, fr = back_rhs[zp], fwd_rhs[zp]
                 c1src = B.hcomp1[(r1.leg1, z)]
                 c1tgt = B.hcomp1[(r2.leg1, zp)]
                 c2src = B.hcomp1[(r1.leg2, z)]
                 c2tgt = B.hcomp1[(r2.leg2, zp)]
                 for zeta1 in inv_cells2(B, c1src, c1tgt):
                     for zeta2 in inv_cells2(B, c2src, c2tgt):
-                        if not _refinement_routes_agree(B, w1, w2, alpha1[z], alpha2[zp], zeta1, zeta2):
-                            continue
-                        if _refinement_routes_agree(B, f1, f2, beta1[z], beta2[zp], zeta1, zeta2):
+                        if bl[zeta2] == br[zeta1] and fl[zeta2] == fr[zeta1]:
                             return (E, z, zp, zeta1, zeta2)
     return None
 
