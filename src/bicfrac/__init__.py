@@ -5,7 +5,8 @@ every law and every condition is decidable by finite search.  The main
 entry points, in the order a typical session uses them:
 
 - `FinBicat`, `validate_bicat`: the data structure and its law checker.
-- `eval_pasting`: evaluate a formal pasting tree to a single 2-cell.
+- `vcompose`, `whisker_left`, `whisker_right`, `hcompose2`: composites of
+  2-cells by table lookup.
 - `WClass`, `check_bf`, `saturate`, `quasi_units`: classes of 1-cells and
   the closure axioms that allow inverting them.
 - `materialize_fractions`, `universal_pseudofunctor`: the bicategory of
@@ -41,7 +42,6 @@ from .conditions import (
     SubCheck,
     TheoremReport,
     WeakEquivalenceReport,
-    build_a5_composite,
     check_A,
     check_B,
     check_EF,
@@ -51,34 +51,18 @@ from .conditions import (
     recheck_witness,
 )
 from .core import (
-    Assoc,
-    AssocInv,
-    Atom,
     CompositionError,
     FinBicat,
-    HComp,
-    IdOn,
-    Inv,
     InvertibilityError,
-    LUnit,
-    LUnitInv,
     OneCell,
-    PastingExpr,
     PreconditionError,
-    RUnit,
-    RUnitInv,
     StructureError,
     TwoCell,
     TypingError,
     ValidationReport,
-    VComp,
     Violation,
-    WhiskL,
-    WhiskR,
-    eval_pasting,
     hcompose1,
     hcompose2,
-    infer_boundary,
     internal_equivalence_witness,
     internal_equivalences,
     inv_cells2,
@@ -86,7 +70,6 @@ from .core import (
     structural_violations,
     two_cell_inverse,
     validate_bicat,
-    vchain,
     vcompose,
     vcompose_all,
     whisker_left,

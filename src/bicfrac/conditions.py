@@ -18,7 +18,10 @@ decided by exhaustive search in table order.  Four families are covered:
 
 Each verdict records canonical evidence: a witness resolving the
 existentials for the hardest universally quantified input, or the first
-input in enumeration order whose search space was exhausted.
+input in enumeration order whose search space was exhausted.  The one
+pasting chain among the conditions, ``A5``'s transport of a source 2-cell
+along the comparison data (`a5_composite`), is evaluated by `core`'s table
+lookups.
 ``cross_validate_theorems`` replays the known relationships between the
 families on one concrete instance and reports any disagreement.
 """
@@ -29,27 +32,22 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .core import (
-    Assoc,
-    AssocInv,
-    Atom,
     CompositionError,
     FinBicat,
-    Inv,
     InvertibilityError,
-    PastingExpr,
     PreconditionError,
     TypingError,
-    WhiskL,
-    WhiskR,
-    eval_pasting,
-    infer_boundary,
+    assoc_cell,
+    assoc_inv_cell,
     internal_equivalence_witness,
     internal_equivalences,
     inv_cells2,
+    inverse_cell,
     is_invertible2,
     two_cell_inverse,
-    vchain,
     vcompose_all,
+    vfold,
+    whisker_left,
     whisker_right,
 )
 from .psfun import PsFun, induce_g_tilde, maps_into
@@ -309,7 +307,7 @@ def _problem_a4(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
     return _equalized_in_source(src, W_A, universals)
 
 
-def build_a5_composite(
+def a5_composite(
     F: PsFun,
     f1: str,
     f2: str,
@@ -319,8 +317,8 @@ def build_a5_composite(
     zp_b: str,
     sigma_b: str,
     alpha_a: str,
-) -> PastingExpr:
-    """Pasting tree that transports ``alpha_a`` along the comparison data.
+) -> str:
+    """The 2-cell that transports ``alpha_a`` along the comparison data.
 
     ``f1, f2: A_A → B_A`` are parallel source 1-cells, ``v_a: A'_A → A_A``
     the source-class member, ``v_b: A_B → F(A_A)`` and ``z_b: A'_B →
@@ -330,27 +328,24 @@ def build_a5_composite(
     in application order, are an inverse associator, a whiskered
     ``sigma_b``, an associator, the compositor-conjugate of ``F(alpha_a)``
     whiskered by ``z_b``, an inverse associator, a whiskered inverse of
-    ``sigma_b`` and a final associator, so the whole tree runs from
-    ``(F(f1)∘v_b)∘zp_b`` to ``(F(f2)∘v_b)∘zp_b``.  Boundary mismatches in
-    the data raise `TypingError`.
+    ``sigma_b`` and a final associator, so the composite runs from
+    ``(F(f1)∘v_b)∘zp_b`` to ``(F(f2)∘v_b)∘zp_b``.  Each factor is a table
+    lookup; boundary mismatches raise `TypingError`, a missing inverse
+    `InvertibilityError`.
     """
+    tgt = F.target
     ff1, ff2, fv = F.f1[f1], F.f1[f2], F.f1[v_a]
-    conjugate = vchain(
-        Inv(Atom(F.psi[(f1, v_a)])),
-        Atom(F.f2[alpha_a]),
-        Atom(F.psi[(f2, v_a)]),
+    psi1, f_alpha, psi2 = F.psi[(f1, v_a)], F.f2[alpha_a], F.psi[(f2, v_a)]
+    return vfold(
+        tgt,
+        assoc_inv_cell(tgt, ff1, v_b, zp_b),
+        whisker_left(tgt, ff1, sigma_b),
+        assoc_cell(tgt, ff1, fv, z_b),
+        whisker_right(tgt, vfold(tgt, inverse_cell(tgt, psi1), f_alpha, psi2), z_b),
+        assoc_inv_cell(tgt, ff2, fv, z_b),
+        whisker_left(tgt, ff2, inverse_cell(tgt, sigma_b)),
+        assoc_cell(tgt, ff2, v_b, zp_b),
     )
-    expr = vchain(
-        AssocInv(ff1, v_b, zp_b),
-        WhiskL(ff1, Atom(sigma_b)),
-        Assoc(ff1, fv, z_b),
-        WhiskR(conjugate, z_b),
-        AssocInv(ff2, fv, z_b),
-        WhiskL(ff2, Inv(Atom(sigma_b))),
-        Assoc(ff2, v_b, zp_b),
-    )
-    infer_boundary(F.target, expr)
-    return expr
 
 
 def _problem_a5(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -404,8 +399,7 @@ def _problem_a5(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
         if ac.src != src.hcomp1[(f1, v_a)] or ac.tgt != src.hcomp1[(f2, v_a)]:
             return False
         try:
-            expr = build_a5_composite(F, f1, f2, v_b, v_a, z_b, zp_b, sig, alpha_a)
-            rhs = eval_pasting(tgt, expr)
+            rhs = a5_composite(F, f1, f2, v_b, v_a, z_b, zp_b, sig, alpha_a)
         except (TypingError, CompositionError, InvertibilityError):
             return False
         return whisker_right(tgt, al, zp_b) == rhs

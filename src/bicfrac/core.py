@@ -12,12 +12,12 @@ binary and ternary table is walked through those indexes by one function
 exported; the law checks and the table builders iterate these walks.
 `structural_violations` checks that
 every table is total and well typed, and `validate_bicat` runs that check
-and then the axioms exhaustively.  `eval_pasting` evaluates formal pasting
-expressions against the tables; its leaves are table lookups (`assoc_cell`,
-`lwhisker_cell`, `inverse_cell`, ...) and its vertical composites go through
-`vfold`, which code with a fixed chain of factors calls directly.  Small
-search utilities (`two_cell_inverse`, `internal_equivalence_witness`) decide
-invertibility.
+and then the axioms exhaustively.  A fixed chain of 2-cells (a pasting
+diagram read in application order) is evaluated by table lookups, one per
+factor (`assoc_cell`, `whisker_left`, `inverse_cell`, ...), folded by the
+checked vertical composite `vfold`; each raises `TypingError` where the
+chain is ill typed.  Small search utilities (`two_cell_inverse`,
+`internal_equivalence_witness`) decide invertibility.
 
 Derived composition of 2-cells (`hcompose2`) is defined from the whiskering
 tables; the middle-four interchange law, checked by the validator, makes the
@@ -27,7 +27,7 @@ two possible whisker orders agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class StructureError(ValueError):
@@ -39,7 +39,7 @@ class CompositionError(ValueError):
 
 
 class TypingError(ValueError):
-    """A pasting expression does not type-check over the given bicategory."""
+    """A whiskering or a chain of 2-cells does not type-check over the given bicategory."""
 
 
 class InvertibilityError(ValueError):
@@ -284,17 +284,19 @@ def vcompose(B: FinBicat, beta: str, alpha: str) -> str:
 
 
 def whisker_left(B: FinBicat, g: str, alpha: str) -> str:
+    """``i_g ∗ alpha``; `TypingError` when the pair is not whiskerable."""
     try:
         return B.whisk_left[(g, alpha)]
     except KeyError:
-        raise CompositionError(f"left whiskering undefined: ({g!r}, {alpha!r})") from None
+        raise TypingError(f"left whiskering undefined: ({g!r}, {alpha!r})") from None
 
 
 def whisker_right(B: FinBicat, beta: str, f: str) -> str:
+    """``beta ∗ i_f``; `TypingError` when the pair is not whiskerable."""
     try:
         return B.whisk_right[(beta, f)]
     except KeyError:
-        raise CompositionError(f"right whiskering undefined: ({beta!r}, {f!r})") from None
+        raise TypingError(f"right whiskering undefined: ({beta!r}, {f!r})") from None
 
 
 def hcompose2(B: FinBicat, beta: str, alpha: str) -> str:
@@ -385,158 +387,10 @@ def internal_equivalences(B: FinBicat) -> list[str]:
     return B._cache["equivs"]
 
 
-# -- pasting expressions ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Atom:
-    cell: str
-
-
-@dataclass(frozen=True)
-class IdOn:
-    cell: str  # a 1-cell
-
-
-@dataclass(frozen=True)
-class VComp:
-    upper: "PastingExpr"  # applied first
-    lower: "PastingExpr"
-
-
-@dataclass(frozen=True)
-class HComp:
-    left: "PastingExpr"  # the factor on the codomain side
-    right: "PastingExpr"
-
-
-@dataclass(frozen=True)
-class WhiskL:
-    cell: str  # 1-cell g, composed on the left
-    expr: "PastingExpr"
-
-
-@dataclass(frozen=True)
-class WhiskR:
-    expr: "PastingExpr"
-    cell: str  # 1-cell f, composed on the right
-
-
-@dataclass(frozen=True)
-class Assoc:
-    h: str
-    g: str
-    f: str
-
-
-@dataclass(frozen=True)
-class AssocInv:
-    h: str
-    g: str
-    f: str
-
-
-@dataclass(frozen=True)
-class RUnit:
-    cell: str
-
-
-@dataclass(frozen=True)
-class RUnitInv:
-    cell: str
-
-
-@dataclass(frozen=True)
-class LUnit:
-    cell: str
-
-
-@dataclass(frozen=True)
-class LUnitInv:
-    cell: str
-
-
-@dataclass(frozen=True)
-class Inv:
-    expr: "PastingExpr"
-
-
-PastingExpr = Union[
-    Atom, IdOn, VComp, HComp, WhiskL, WhiskR,
-    Assoc, AssocInv, RUnit, RUnitInv, LUnit, LUnitInv, Inv,
-]
-
-
-def vchain(*factors: PastingExpr) -> PastingExpr:
-    """Nest factors, given in application order, into VComp nodes."""
-    if not factors:
-        raise TypingError("empty chain")
-    expr = factors[0]
-    for nxt in factors[1:]:
-        expr = VComp(expr, nxt)
-    return expr
-
-
-def _h1(B: FinBicat, g: str, f: str, ctx: PastingExpr) -> str:
-    try:
-        return hcompose1(B, g, f)
-    except CompositionError:
-        raise TypingError(f"1-cells {g!r}, {f!r} not composable in {ctx!r}") from None
-
-
-def infer_boundary(B: FinBicat, e: PastingExpr) -> tuple[str, str]:
-    """Source and target 1-cells of a pasting expression, without evaluating."""
-    if isinstance(e, Atom):
-        t = B.two(e.cell)
-        return t.src, t.tgt
-    if isinstance(e, IdOn):
-        B.one(e.cell)
-        return e.cell, e.cell
-    if isinstance(e, VComp):
-        s1, t1 = infer_boundary(B, e.upper)
-        s2, t2 = infer_boundary(B, e.lower)
-        if t1 != s2:
-            raise TypingError(f"vertical mismatch: {t1!r} vs {s2!r} in {e!r}")
-        return s1, t2
-    if isinstance(e, HComp):
-        ls, lt = infer_boundary(B, e.left)
-        rs, rt = infer_boundary(B, e.right)
-        if B.one(rs).tgt != B.one(ls).src:
-            raise TypingError(f"horizontal mismatch in {e!r}")
-        return _h1(B, ls, rs, e), _h1(B, lt, rt, e)
-    if isinstance(e, WhiskL):
-        s, t = infer_boundary(B, e.expr)
-        if B.one(t).tgt != B.one(e.cell).src:
-            raise TypingError(f"left whisker mismatch in {e!r}")
-        return _h1(B, e.cell, s, e), _h1(B, e.cell, t, e)
-    if isinstance(e, WhiskR):
-        s, t = infer_boundary(B, e.expr)
-        if B.one(e.cell).tgt != B.one(s).src:
-            raise TypingError(f"right whisker mismatch in {e!r}")
-        return _h1(B, s, e.cell, e), _h1(B, t, e.cell, e)
-    if isinstance(e, (Assoc, AssocInv)):
-        gf = _h1(B, e.g, e.f, e)
-        hg = _h1(B, e.h, e.g, e)
-        lhs = _h1(B, e.h, gf, e)
-        rhs = _h1(B, hg, e.f, e)
-        return (lhs, rhs) if isinstance(e, Assoc) else (rhs, lhs)
-    if isinstance(e, (RUnit, RUnitInv)):
-        c = B.one(e.cell)
-        fid = _h1(B, e.cell, B.id1[c.src], e)
-        return (fid, e.cell) if isinstance(e, RUnit) else (e.cell, fid)
-    if isinstance(e, (LUnit, LUnitInv)):
-        c = B.one(e.cell)
-        idf = _h1(B, B.id1[c.tgt], e.cell, e)
-        return (idf, e.cell) if isinstance(e, LUnit) else (e.cell, idf)
-    if isinstance(e, Inv):
-        s, t = infer_boundary(B, e.expr)
-        return t, s
-    raise TypingError(f"unknown pasting node {e!r}")
-
-
-# Table lookups for the factors of a pasting chain.  Each performs the
-# checks its `eval_pasting` node performs and raises the same exception, so a
-# fixed chain can be evaluated without building a tree.
+# Table lookups for the factors of a fixed chain of 2-cells.  Each checks
+# that its factor is well typed and raises `TypingError` when it is not (or
+# `InvertibilityError` for a missing inverse), so a chain is evaluated by
+# calling them in order and folding the results with `vfold`.
 
 
 def inverse_cell(B: FinBicat, a: str) -> str:
@@ -551,7 +405,7 @@ def assoc_cell(B: FinBicat, h: str, g: str, f: str) -> str:
     """The associator ``h∘(g∘f) ⇒ (h∘g)∘f``.
 
     Raises `TypingError` unless ``g∘f``, ``h∘g``, ``h∘(g∘f)`` and
-    ``(h∘g)∘f`` are all composites in the table, as `infer_boundary` does.
+    ``(h∘g)∘f`` are all composites in the table.
     """
     H = B.hcomp1
     gf, hg = H.get((g, f)), H.get((h, g))
@@ -582,27 +436,11 @@ def lunit_cell(B: FinBicat, f: str) -> str:
     return B.lunit[f]
 
 
-def lwhisker_cell(B: FinBicat, g: str, a: str) -> str:
-    """``i_g ∗ a``; `TypingError` when the pair is not whiskerable."""
-    try:
-        return B.whisk_left[(g, a)]
-    except KeyError:
-        raise TypingError(f"left whiskering undefined: ({g!r}, {a!r})") from None
-
-
-def rwhisker_cell(B: FinBicat, a: str, f: str) -> str:
-    """``a ∗ i_f``; `TypingError` when the pair is not whiskerable."""
-    try:
-        return B.whisk_right[(a, f)]
-    except KeyError:
-        raise TypingError(f"right whiskering undefined: ({a!r}, {f!r})") from None
-
-
 def vfold(B: FinBicat, first: str, *rest: str) -> str:
     """Vertical composite of 2-cells given in application order.
 
     Each step checks ``tgt1(u) == src1(l)`` and raises `TypingError` on a
-    mismatch, as a `VComp` node does.
+    mismatch.
     """
     out = first
     tgt = B.two(first).tgt
@@ -613,43 +451,6 @@ def vfold(B: FinBicat, first: str, *rest: str) -> str:
         out = vcompose(B, nxt, out)
         tgt = t.tgt
     return out
-
-
-def eval_pasting(B: FinBicat, e: PastingExpr) -> str:
-    """Evaluate a pasting expression to a 2-cell id, checking types as it goes."""
-    if isinstance(e, Atom):
-        B.two(e.cell)
-        return e.cell
-    if isinstance(e, IdOn):
-        B.one(e.cell)
-        return B.id2[e.cell]
-    if isinstance(e, VComp):
-        return vfold(B, eval_pasting(B, e.upper), eval_pasting(B, e.lower))
-    if isinstance(e, HComp):
-        lv = eval_pasting(B, e.left)
-        rv = eval_pasting(B, e.right)
-        if B.one(B.src1(rv)).tgt != B.one(B.src1(lv)).src:
-            raise TypingError(f"horizontal mismatch in {e!r}")
-        return hcompose2(B, lv, rv)
-    if isinstance(e, WhiskL):
-        return lwhisker_cell(B, e.cell, eval_pasting(B, e.expr))
-    if isinstance(e, WhiskR):
-        return rwhisker_cell(B, eval_pasting(B, e.expr), e.cell)
-    if isinstance(e, Assoc):
-        return assoc_cell(B, e.h, e.g, e.f)
-    if isinstance(e, AssocInv):
-        return assoc_inv_cell(B, e.h, e.g, e.f)
-    if isinstance(e, RUnit):
-        return runit_cell(B, e.cell)
-    if isinstance(e, RUnitInv):
-        return inverse_cell(B, runit_cell(B, e.cell))
-    if isinstance(e, LUnit):
-        return lunit_cell(B, e.cell)
-    if isinstance(e, LUnitInv):
-        return inverse_cell(B, lunit_cell(B, e.cell))
-    if isinstance(e, Inv):
-        return inverse_cell(B, eval_pasting(B, e.expr))
-    raise TypingError(f"unknown pasting node {e!r}")
 
 
 # -- validation --------------------------------------------------------------

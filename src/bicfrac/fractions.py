@@ -24,12 +24,12 @@ cell-for-cell, and the independence is separately exercised by tests.
 
 Each search compares fixed pasting shapes: chains of associators,
 whiskered cells and vertical composites.  They are evaluated by direct table
-lookups (`core.assoc_cell`, `core.vfold` and their siblings), which check
-types as `eval_pasting` does, without building a pasting tree.  Factors that
-do not depend on the innermost candidates, such as a representative's 2-cell
-restricted along a refinement leg, are evaluated once per search, at the
-first candidate that needs them, so an input raises where it raised when
-every candidate evaluated its whole chain.
+lookups (`core.assoc_cell`, `core.vfold` and their siblings), each of which
+checks that its factor is well typed.  Factors that do not depend on the
+innermost candidates, such as a representative's 2-cell restricted along a
+refinement leg, are evaluated once per search, at the first candidate that
+needs them, so an input raises where it raised when every candidate
+evaluated its whole chain.
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ from .core import (
     inverse_cell,
     is_invertible2,
     lunit_cell,
-    lwhisker_cell,
     lwhisker_pairs,
     runit_cell,
-    rwhisker_cell,
     rwhisker_pairs,
     two_cell_inverse,
     validate_bicat,
@@ -72,7 +70,7 @@ def _restrict(B: FinBicat, b1: str, l1: str, a: str, b2: str, l2: str, z: str) -
 
     That is the chain: associator, ``a ∗ i_z``, inverse associator.
     """
-    return vfold(B, assoc_cell(B, b1, l1, z), rwhisker_cell(B, a, z), assoc_inv_cell(B, b2, l2, z))
+    return vfold(B, assoc_cell(B, b1, l1, z), whisker_right(B, a, z), assoc_inv_cell(B, b2, l2, z))
 
 
 class _Memo(dict):
@@ -230,8 +228,8 @@ def rep_equivalence_witness(
         """The left side by ``z`` then ``zeta2``, the right side by ``zp`` then ``zeta1``."""
         r1z = _Memo(lambda z: _restrict(B, back1, r1.leg1, c1, back2, r1.leg2, z))
         r2zp = _Memo(lambda zp: _restrict(B, back1, r2.leg1, c2, back2, r2.leg2, zp))
-        lhs = _Memo(lambda z: _Memo(lambda zeta2: vfold(B, r1z[z], lwhisker_cell(B, back2, zeta2))))
-        rhs = _Memo(lambda zp: _Memo(lambda zeta1: vfold(B, lwhisker_cell(B, back1, zeta1), r2zp[zp])))
+        lhs = _Memo(lambda z: _Memo(lambda zeta2: vfold(B, r1z[z], whisker_left(B, back2, zeta2))))
+        rhs = _Memo(lambda zp: _Memo(lambda zeta1: vfold(B, whisker_left(B, back1, zeta1), r2zp[zp])))
         return lhs, rhs
 
     back_lhs, back_rhs = routes(w1, w2, r1.alpha, r2.alpha)
@@ -384,27 +382,24 @@ def materialize_fractions(
     W: WClass,
     *,
     name: Optional[str] = None,
-    require_axioms: bool = True,
     validate: bool = True,
 ) -> Localization:
     """Construct the localization of ``B`` at ``W`` as explicit tables.
 
-    Requires a lawful base and the closure axioms for ``W`` (both checked up
-    front, raising `PreconditionError`, unless ``require_axioms`` is
-    disabled for callers that already did).  Each associator and unitor is
+    Requires a lawful base and the closure axioms for ``W``, both checked up
+    front, raising `PreconditionError`.  Each associator and unitor is
     the least invertible class of its frame.  The resulting bicategory is
     validated exhaustively; a failure raises `LocalizationError` carrying
     the validation report.
     """
-    if require_axioms:
-        base = validate_bicat(B)
-        if not base.passed:
-            laws = ", ".join(sorted(base.laws_failed()))
-            raise PreconditionError(f"base bicategory violates: {laws}")
-        bf = check_bf(B, W)
-        if not bf.passed:
-            bad = ", ".join(k for k, v in bf.verdicts.items() if not v.holds)
-            raise PreconditionError(f"class {W.name or W.members!r} fails {bad}")
+    base = validate_bicat(B)
+    if not base.passed:
+        laws = ", ".join(sorted(base.laws_failed()))
+        raise PreconditionError(f"base bicategory violates: {laws}")
+    bf = check_bf(B, W)
+    if not bf.passed:
+        bad = ", ".join(k for k, v in bf.verdicts.items() if not v.holds)
+        raise PreconditionError(f"class {W.name or W.members!r} fails {bad}")
 
     spans = enumerate_spans(B, W)
     sids = {s.id: s for s in spans}
@@ -514,13 +509,13 @@ def materialize_fractions(
                         alpha = vfold(
                             B,
                             _restrict(B, S1.back, p1, phi.alpha, S2.back, p2, x),
-                            lwhisker_cell(B, S2.back, rho),
+                            whisker_left(B, S2.back, rho),
                             _restrict(B, S2.back, q2, psi.alpha, S3.back, q3, y),
                         )
                         beta = vfold(
                             B,
                             _restrict(B, S1.forward, p1, phi.beta, S2.forward, p2, x),
-                            lwhisker_cell(B, S2.forward, rho),
+                            whisker_left(B, S2.forward, rho),
                             _restrict(B, S2.forward, q2, psi.beta, S3.forward, q3, y),
                         )
                         rep = TwoCellRep(D, p1x, h1(q3, y), alpha, beta)
@@ -562,7 +557,7 @@ def materialize_fractions(
                     y2e2 = h1(y2, e2)
                     for xi in inv_cells2(B, x1e1, x2e2):
                         route1 = vfold(
-                            B, rho1_e1[e1], lwhisker_cell(B, S.forward, xi), rho2_e2[e2],
+                            B, rho1_e1[e1], whisker_left(B, S.forward, xi), rho2_e2[e2],
                         )
                         for lam in B.hom1(E, psi.apex):
                             q1lam = h1(q1, lam)
@@ -572,24 +567,24 @@ def materialize_fractions(
                                     k2_inv = two_cell_inverse(B, k2)
                                     route2 = vfold(
                                         B,
-                                        lwhisker_cell(B, T1.back, k1),
+                                        whisker_left(B, T1.back, k1),
                                         psi_lam[lam],
-                                        lwhisker_cell(B, T2.back, k2_inv),
+                                        whisker_left(B, T2.back, k2_inv),
                                     )
                                     if route1 != route2:
                                         continue
                                     alpha = vfold(
                                         B,
                                         assoc_inv_cell(B, S.back, x1, e1),
-                                        lwhisker_cell(B, S.back, xi),
+                                        whisker_left(B, S.back, xi),
                                         assoc_cell(B, S.back, x2, e2),
                                     )
                                     beta = vfold(
                                         B,
                                         assoc_inv_cell(B, T1.forward, y1, e1),
-                                        lwhisker_cell(B, T1.forward, k1),
+                                        whisker_left(B, T1.forward, k1),
                                         _restrict(B, T1.forward, q1, psi.beta, T2.forward, q2, lam),
-                                        lwhisker_cell(B, T2.forward, k2_inv),
+                                        whisker_left(B, T2.forward, k2_inv),
                                         assoc_cell(B, T2.forward, y2, e2),
                                     )
                                     rep = TwoCellRep(E, e1, e2, alpha, beta)
@@ -632,9 +627,9 @@ def materialize_fractions(
                                 delta = vfold(
                                     B,
                                     rho1_e1[e1],
-                                    lwhisker_cell(B, S1.forward, i1),
+                                    whisker_left(B, S1.forward, i1),
                                     beta_lam[lam],
-                                    lwhisker_cell(B, S2.forward, i2_inv),
+                                    whisker_left(B, S2.forward, i2_inv),
                                     rho2_e2[e2],
                                 )
                                 for eps in B.cells2(y1e1, y2e2):
@@ -643,15 +638,15 @@ def materialize_fractions(
                                     alpha = vfold(
                                         B,
                                         assoc_inv_cell(B, S1.back, x1, e1),
-                                        lwhisker_cell(B, S1.back, i1),
+                                        whisker_left(B, S1.back, i1),
                                         _restrict(B, S1.back, p1, phi.alpha, S2.back, p2, lam),
-                                        lwhisker_cell(B, S2.back, i2_inv),
+                                        whisker_left(B, S2.back, i2_inv),
                                         assoc_cell(B, S2.back, x2, e2),
                                     )
                                     beta = vfold(
                                         B,
                                         assoc_inv_cell(B, T.forward, y1, e1),
-                                        lwhisker_cell(B, T.forward, eps),
+                                        whisker_left(B, T.forward, eps),
                                         assoc_cell(B, T.forward, y2, e2),
                                     )
                                     rep = TwoCellRep(E, e1, e2, alpha, beta)
@@ -740,8 +735,8 @@ def universal_functor_data(loc: Localization):
         beta = vfold(
             B,
             assoc_inv_cell(B, gc.id, fc.id, vp),
-            lwhisker_cell(B, gc.id, filler.rho),
-            lwhisker_cell(B, gc.id, lunit_cell(B, fp)),
+            whisker_left(B, gc.id, filler.rho),
+            whisker_left(B, gc.id, lunit_cell(B, fp)),
             inverse_cell(B, runit_cell(B, B.hcomp1[(gc.id, fp)])),
         )
         rep = TwoCellRep(D, vp, idD, alpha, beta)

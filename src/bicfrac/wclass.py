@@ -23,7 +23,6 @@ from typing import Iterable, Optional
 from .core import (
     FinBicat,
     StructureError,
-    hcompose1,
     inv_cells2,
     internal_equivalences,
     two_cell_inverse,

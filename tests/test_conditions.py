@@ -7,11 +7,16 @@ containing ``v`` forces the two apart only over ``idB``, which pins every
 failing condition to the pair ``(iB, loop)``.
 """
 
+import dataclasses
+import random
+
 import pytest
 
-from bicfrac.builders import appendix_toy, theorem_suite, toy_classes
+from bicfrac import conditions
+from bicfrac.builders import appendix_toy, strict_psfun, theorem_suite, toy_classes
 from bicfrac.conditions import (
-    build_a5_composite,
+    _problem_a5,
+    a5_composite,
     check_A,
     check_B,
     check_EF,
@@ -20,20 +25,22 @@ from bicfrac.conditions import (
     is_weak_equivalence,
     recheck_witness,
 )
-from bicfrac.core import (
+from bicfrac.core import PreconditionError, StructureError, TypingError
+from bicfrac.fractions import materialize_fractions, universal_pseudofunctor
+from bicfrac.psfun import identity_psfun
+from bicfrac.wclass import WClass
+from pasting_reference import (
     Assoc,
     AssocInv,
     Atom,
     Inv,
-    PreconditionError,
-    TypingError,
     VComp,
     WhiskL,
     WhiskR,
+    build_a5_composite,
     eval_pasting,
 )
-from bicfrac.fractions import materialize_fractions, universal_pseudofunctor
-from bicfrac.psfun import identity_psfun
+from test_fractions import bench_corpus
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +172,137 @@ def test_a5_nontrivial_universal_is_solved(toy, classes):
     assert r.holds
     u, w = r.witness
     assert recheck_witness(identity_psfun(toy), r, classes["W"], classes["W"])
+
+
+# -- A5's composite by table lookups, against the reference tree ---------------
+
+
+def tree_a5_composite(F, *args):
+    """`a5_composite` evaluated as the reference pasting tree."""
+    return eval_pasting(F.target, build_a5_composite(F, *args))
+
+
+def outcome(thunk):
+    """What a thunk returns, or the class of the error it raises."""
+    try:
+        return thunk()
+    except (ValueError, KeyError) as exc:
+        return type(exc)
+
+
+def a5_candidate_outcomes(F, W_A, W_B):
+    """``(lookups, tree)`` outcomes of the composite at each A5 candidate."""
+    prob = _problem_a5(F, W_A, W_B)
+    out = []
+    for u in prob.universals():
+        f1, f2, v_b, _ = u
+        for v_a, z_b, zp_b, sig, alpha_a in prob.candidates(u):
+            args = (F, f1, f2, v_b, v_a, z_b, zp_b, sig, alpha_a)
+            out.append((outcome(lambda: a5_composite(*args)), outcome(lambda: tree_a5_composite(*args))))
+    return out
+
+
+def with_tree_a5(monkeypatch, thunk):
+    """The outcome of ``thunk`` with A5 evaluating its composite as a tree."""
+    with monkeypatch.context() as m:
+        m.setattr(conditions, "a5_composite", tree_a5_composite)
+        return outcome(thunk)
+
+
+LOOP_MAPS = [(3, 1), (3, 3), (4, 1), (4, 2), (4, 4), (5, 1), (5, 5)]
+LOOP_PAIRS = [("Wmin", "Wmin"), ("Wmin", "W"), ("W", "W")]
+
+
+def loop_map(k, d):
+    """The `bench/corpus.py` map ``cyclic_loop(k) -> cyclic_loop(d)`` and both sides' classes.
+
+    The identity when ``d == k``, the loop quotient otherwise.
+    """
+    corpus = bench_corpus()
+    insts = [corpus.cyclic_loop(n, random.Random(n)) for n in dict.fromkeys((k, d))]
+    built = [inst.build() for inst in insts]
+    classes = [{c: WClass.of(B, m, c) for c, m in inst.classes.items()} for inst, B in zip(insts, built)]
+    if d == k:
+        return identity_psfun(built[0]), classes[0], classes[0]
+    F = strict_psfun(built[0], built[1], **corpus.loop_quotient(*insts))
+    return F, classes[0], classes[1]
+
+
+def test_a5_composite_matches_the_tree_at_every_suite_candidate(suite):
+    seen = 0
+    for case in suite.values():
+        for lookups, tree in a5_candidate_outcomes(*_args(case)):
+            assert lookups == tree, case.name
+            seen += 1
+    assert seen == 76
+
+
+@pytest.mark.parametrize("k,d", LOOP_MAPS)
+def test_a5_composite_matches_the_tree_on_loop_maps(k, d, monkeypatch):
+    F, s_classes, t_classes = loop_map(k, d)
+    for a, b in LOOP_PAIRS:
+        W_A, W_B = s_classes[a], t_classes[b]
+        outcomes = a5_candidate_outcomes(F, W_A, W_B)
+        assert outcomes, (a, b)
+        for lookups, tree in outcomes:
+            assert lookups == tree, (a, b)
+        report = outcome(lambda: check_A(F, W_A, W_B, 5))
+        assert with_tree_a5(monkeypatch, lambda: check_A(F, W_A, W_B, 5)) == report, (a, b)
+
+
+def test_mutated_a5_witnesses_recheck_as_with_the_tree(suite, monkeypatch):
+    instances = [_args(case) for case in suite.values()]
+    for k, d in LOOP_MAPS:
+        F, s_classes, t_classes = loop_map(k, d)
+        instances += [(F, s_classes[a], t_classes[b]) for a, b in LOOP_PAIRS]
+    seen = set()
+    for F, W_A, W_B in instances:
+        r = check_A(F, W_A, W_B, 5)
+        if r.witness is None:
+            continue
+        u, w = r.witness
+        pool = ["ghost"] + [
+            x for B in (F.source, F.target)
+            for x in (*B.objects, *(c.id for c in B.one_cells), *(t.id for t in B.two_cells))
+        ]
+        for i in range(len(w)):
+            for x in dict.fromkeys(pool):
+                forged = dataclasses.replace(r, witness=(u, w[:i] + (x,) + w[i + 1:]))
+                lookups = outcome(lambda: recheck_witness(F, forged, W_A, W_B))
+                tree = with_tree_a5(monkeypatch, lambda: recheck_witness(F, forged, W_A, W_B))
+                assert lookups == tree, (F.name, i, x)
+                seen.add(lookups)
+    # True only comes back from a forgery whose composite was evaluated.
+    assert seen == {True, False, StructureError}
+
+
+def test_a5_reports_agree_with_the_tree_on_mutated_maps(suite, monkeypatch):
+    # Each compositor and 2-cell image in turn is dropped or replaced by any
+    # target 2-cell.  A compositor that is both ill typed and not invertible
+    # makes the lookups raise InvertibilityError where the tree, typed
+    # before it is evaluated, raised TypingError; `verify` rejects the
+    # candidate either way, so the reports must agree.
+    loopy = appendix_toy(loop_square="loop")
+    instances = [_args(case) for case in suite.values()]
+    instances.append((identity_psfun(loopy), toy_classes(loopy)["W"], toy_classes(loopy)["W"]))
+    F, s_classes, t_classes = loop_map(4, 2)
+    instances += [(F, s_classes[a], t_classes[b]) for a, b in LOOP_PAIRS]
+    verdicts = set()
+    for F, W_A, W_B in instances:
+        for table in ("psi", "f2"):
+            entries = getattr(F, table)
+            for key in entries:
+                for new in [None] + [t.id for t in F.target.two_cells]:
+                    mutated = dict(entries)
+                    if new is None:
+                        del mutated[key]
+                    else:
+                        mutated[key] = new
+                    G = dataclasses.replace(F, **{table: mutated})
+                    report = outcome(lambda: check_A(G, W_A, W_B, 5))
+                    assert with_tree_a5(monkeypatch, lambda: check_A(G, W_A, W_B, 5)) == report, (table, key, new)
+                    verdicts.add(getattr(report, "holds", report))
+    assert verdicts == {True, False, KeyError}
 
 
 # -- the B family --------------------------------------------------------------

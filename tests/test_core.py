@@ -6,34 +6,36 @@ import pytest
 
 from bicfrac.builders import appendix_toy, discrete2, iso2, toyq
 from bicfrac.core import (
-    Assoc,
-    Atom,
     FinBicat,
-    IdOn,
-    Inv,
     InvertibilityError,
-    LUnit,
-    RUnit,
     StructureError,
     TypingError,
-    VComp,
-    WhiskL,
-    WhiskR,
-    eval_pasting,
     hcompose1,
     hcompose2,
-    infer_boundary,
     internal_equivalence_witness,
     internal_equivalences,
     inv_cells2,
     is_invertible2,
     two_cell_inverse,
     validate_bicat,
-    vchain,
     vcompose,
     vcompose_all,
     whisker_left,
     whisker_right,
+)
+from pasting_reference import (
+    Assoc,
+    Atom,
+    IdOn,
+    Inv,
+    LUnit,
+    RUnit,
+    VComp,
+    WhiskL,
+    WhiskR,
+    eval_pasting,
+    infer_boundary,
+    vchain,
 )
 
 

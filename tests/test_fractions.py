@@ -12,21 +12,14 @@ import pytest
 
 from bicfrac.builders import appendix_toy, arrow2, iso2, iso2_classes, toy_classes, toyq
 from bicfrac.core import (
-    Assoc,
-    AssocInv,
-    Atom,
     FinBicat,
     PreconditionError,
-    WhiskL,
-    WhiskR,
     composable_pairs,
     composable_triples,
-    eval_pasting,
     inv_cells2,
     lwhisker_pairs,
     rwhisker_pairs,
     validate_bicat,
-    vchain,
     vertical_pairs,
 )
 from bicfrac.fractions import (
@@ -44,6 +37,7 @@ from bicfrac.fractions import (
 )
 from bicfrac.presentation import Presentation, export_presentation, load_document
 from bicfrac.wclass import WClass, check_bf
+from pasting_reference import Assoc, AssocInv, Atom, WhiskL, WhiskR, eval_pasting, vchain
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "src" / "bicfrac" / "fixtures"
