@@ -29,6 +29,7 @@ families on one concrete instance and reports any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .core import (
@@ -36,6 +37,7 @@ from .core import (
     FinBicat,
     InvertibilityError,
     PreconditionError,
+    StructureError,
     TypingError,
     assoc_cell,
     assoc_inv_cell,
@@ -51,7 +53,7 @@ from .core import (
     whisker_right,
 )
 from .psfun import PsFun, induce_g_tilde, maps_into
-from .wclass import WClass, check_bf, internal_equivalences_class, quasi_units, saturate
+from .wclass import WClass, bf_report, internal_equivalences_class, quasi_units, saturate
 
 
 # -- reports -----------------------------------------------------------------
@@ -770,22 +772,10 @@ def _pick(prefix: str, which: int, upto: int) -> str:
     return f"{prefix}{which}"
 
 
-def _first_bf_failure(B: FinBicat, W: WClass) -> Optional[str]:
-    key = ("bf_first_failure", W.members)
-    if key not in B._cache:
-        report = check_bf(B, W)
-        fail = None
-        for v in report.verdicts.values():
-            if not v.holds:
-                fail = v.axiom
-                break
-        B._cache[key] = fail
-    return B._cache[key]
-
-
 def _require_bf(B: FinBicat, W: WClass, side: str) -> None:
-    fail = _first_bf_failure(B, W)
-    if fail is not None:
+    report = bf_report(B, W)
+    if not report.passed:
+        fail = next(v.axiom for v in report.verdicts.values() if not v.holds)
         raise PreconditionError(f"{side} class fails {fail}")
 
 
@@ -867,19 +857,28 @@ def recheck_witness(
     W_A: Optional[WClass] = None,
     W_B: Optional[WClass] = None,
 ) -> bool:
-    """Re-validate a stored witness against the condition's equations."""
+    """Re-validate a stored witness against the condition's equations.
+
+    A witness that names a cell its bicategory does not declare is rejected,
+    not raised on.
+    """
     if not report.holds or report.witness is None:
         raise ValueError(f"report for {report.tag} carries no witness")
     u, w = report.witness
     if report.tag == "EF3":
-        return _verify_ef3_witness(F, u, w)
-    if report.tag in _NEEDS_SOURCE_CLASS and W_A is None:
-        raise ValueError(f"{report.tag} needs the source class")
-    if report.tag in _NEEDS_TARGET_CLASS and W_B is None:
-        raise ValueError(f"{report.tag} needs the target class")
-    if report.tag.startswith("B") or report.tag.startswith("EF"):
-        W_B = W_A
-    return _BUILDERS[report.tag](F, W_A, W_B).verify(u, w)
+        verify = partial(_verify_ef3_witness, F)
+    else:
+        if report.tag in _NEEDS_SOURCE_CLASS and W_A is None:
+            raise ValueError(f"{report.tag} needs the source class")
+        if report.tag in _NEEDS_TARGET_CLASS and W_B is None:
+            raise ValueError(f"{report.tag} needs the target class")
+        if report.tag.startswith("B") or report.tag.startswith("EF"):
+            W_B = W_A
+        verify = _BUILDERS[report.tag](F, W_A, W_B).verify
+    try:
+        return verify(u, w)
+    except StructureError:
+        return False
 
 
 # -- cross-validation of the known relationships ------------------------------

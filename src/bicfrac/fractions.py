@@ -34,6 +34,7 @@ evaluated its whole chain.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -62,7 +63,7 @@ from .core import (
     whisker_left,
     whisker_right,
 )
-from .wclass import WClass, check_bf, find_bf3_filler, saturate
+from .wclass import WClass, bf_report, find_bf3_filler, saturate
 
 
 def _restrict(B: FinBicat, b1: str, l1: str, a: str, b2: str, l2: str, z: str) -> str:
@@ -332,6 +333,10 @@ class Localization:
     fields retain the data the construction chose: the span behind each
     1-cell id, the class (with all its representatives) behind each 2-cell
     id, and the filler square behind each composition table entry.
+
+    `materialize_fractions` shares one instance among its callers for as
+    long as any of them holds it, so it is read-only; once released, the
+    next call builds it afresh.
     """
 
     base: FinBicat
@@ -377,26 +382,53 @@ class Localization:
         raise StructureError(f"representative {rep!r} missing from enumeration")
 
 
-def materialize_fractions(
-    B: FinBicat,
-    W: WClass,
-    *,
-    name: Optional[str] = None,
-    validate: bool = True,
-) -> Localization:
+@dataclass
+class _LocalizationEntry:
+    """A memo entry: the localization while someone holds it, and whether it validated."""
+
+    ref: weakref.ref
+    validated: bool = False
+
+
+def materialize_fractions(B: FinBicat, W: WClass, *, validate: bool = True) -> Localization:
     """Construct the localization of ``B`` at ``W`` as explicit tables.
 
     Requires a lawful base and the closure axioms for ``W``, both checked up
     front, raising `PreconditionError`.  Each associator and unitor is
-    the least invertible class of its frame.  The resulting bicategory is
-    validated exhaustively; a failure raises `LocalizationError` carrying
-    the validation report.
+    the least invertible class of its frame.  With ``validate`` the resulting
+    bicategory is validated exhaustively; a failure raises
+    `LocalizationError` carrying the validation report.
+
+    The result is shared: while any caller holds it, every call with the same
+    base, member set and class name returns the same object, validated at
+    most once, so it must be read, never modified.  The base's cache refers
+    to it only weakly, and once released it is built afresh.
     """
+    name = f"{B.name}[{W.name or 'W'}^-1]"
+    key = ("localization", W.members, name)
+    entry = B._cache.get(key)
+    loc = entry.ref() if entry is not None else None
+    if loc is None:
+        loc = _build_localization(B, W, name)
+        entry = B._cache[key] = _LocalizationEntry(weakref.ref(loc))
+    if validate and not entry.validated:
+        report = validate_bicat(loc.bicat)
+        if not report.passed:
+            laws = sorted(report.laws_failed())
+            raise LocalizationError(
+                f"materialized localization violates: {', '.join(laws)}", report
+            )
+        entry.validated = True
+    return loc
+
+
+def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
+    """The localization's tables, after checking the base's laws and ``W``'s axioms."""
     base = validate_bicat(B)
     if not base.passed:
         laws = ", ".join(sorted(base.laws_failed()))
         raise PreconditionError(f"base bicategory violates: {laws}")
-    bf = check_bf(B, W)
+    bf = bf_report(B, W)
     if not bf.passed:
         bad = ", ".join(k for k, v in bf.verdicts.items() if not v.holds)
         raise PreconditionError(f"class {W.name or W.members!r} fails {bad}")
@@ -479,7 +511,7 @@ def materialize_fractions(
         assoc={},
         runit={},
         lunit={},
-        name=name or f"{B.name}[{W.name or 'W'}^-1]",
+        name=name,
     )
     hcomp1 = mat.hcomp1
     fillers: dict[tuple[str, str], Filler] = {}
@@ -677,14 +709,6 @@ def materialize_fractions(
         mat.runit[c.id] = invertible_class(hcomp1[(c.id, id1[c.src])], c.id, "right unitor")
         mat.lunit[c.id] = invertible_class(hcomp1[(id1[c.tgt], c.id)], c.id, "left unitor")
     mat.strict = _components_identity(mat)
-
-    if validate:
-        report = validate_bicat(mat)
-        if not report.passed:
-            laws = sorted(report.laws_failed())
-            raise LocalizationError(
-                f"materialized localization violates: {', '.join(laws)}", report
-            )
 
     return Localization(
         base=B,

@@ -277,6 +277,8 @@ def induce_g_tilde(
     saturation of ``W_tgt``; ``F`` must already send ``W_src`` into that
     saturation.  Comparison cells of the lift are the least invertible class
     of their frame, and the whole lift is validated before returning.
+    A localization not passed in comes from `materialize_fractions`, which
+    returns the one a caller already holds.
     """
     from .fractions import LocalizationError, Span, materialize_fractions
 
@@ -292,9 +294,7 @@ def induce_g_tilde(
     if source_loc is None:
         source_loc = materialize_fractions(F.source, W_src)
     if target_loc is None:
-        target_loc = materialize_fractions(
-            F.target, sat, name=f"{F.target.name}[sat^-1]"
-        )
+        target_loc = materialize_fractions(F.target, sat)
 
     SB, TB = source_loc.bicat, target_loc.bicat
     f0 = {x: F.f0[x] for x in SB.objects}

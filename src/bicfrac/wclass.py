@@ -298,6 +298,19 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
     return BfReport(all(v.holds for v in verdicts.values()), verdicts)
 
 
+def bf_report(B: FinBicat, W: WClass) -> BfReport:
+    """`check_bf` of ``W``, decided once per base and member set.
+
+    The report is kept in ``B``'s cache, which is sound because no table of
+    a finished bicategory is written again.  It is shared by every caller,
+    so it must be read, never modified.
+    """
+    key = ("bf", W.members)
+    if key not in B._cache:
+        B._cache[key] = check_bf(B, W)
+    return B._cache[key]
+
+
 @dataclass
 class SaturationResult:
     members: WClass

@@ -25,7 +25,7 @@ from bicfrac.conditions import (
     is_weak_equivalence,
     recheck_witness,
 )
-from bicfrac.core import PreconditionError, StructureError, TypingError
+from bicfrac.core import PreconditionError, TypingError
 from bicfrac.fractions import materialize_fractions, universal_pseudofunctor
 from bicfrac.psfun import identity_psfun
 from bicfrac.wclass import WClass
@@ -272,8 +272,9 @@ def test_mutated_a5_witnesses_recheck_as_with_the_tree(suite, monkeypatch):
                 tree = with_tree_a5(monkeypatch, lambda: recheck_witness(F, forged, W_A, W_B))
                 assert lookups == tree, (F.name, i, x)
                 seen.add(lookups)
-    # True only comes back from a forgery whose composite was evaluated.
-    assert seen == {True, False, StructureError}
+    # True only comes back from a forgery whose composite was evaluated, and
+    # a forgery naming an undeclared cell is rejected, not raised on.
+    assert seen == {True, False}
 
 
 def test_a5_reports_agree_with_the_tree_on_mutated_maps(suite, monkeypatch):

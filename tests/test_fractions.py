@@ -1,19 +1,24 @@
 """Spans, representative classes and the materialized fraction bicategory."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
 import random
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from bicfrac import fractions
 from bicfrac.builders import appendix_toy, arrow2, iso2, iso2_classes, toy_classes, toyq
 from bicfrac.core import (
     FinBicat,
     PreconditionError,
+    ValidationReport,
+    Violation,
     composable_pairs,
     composable_triples,
     inv_cells2,
@@ -35,8 +40,10 @@ from bicfrac.fractions import (
     span_is_equivalence,
     universal_pseudofunctor,
 )
+from bicfrac.conditions import cross_validate_theorems
 from bicfrac.presentation import Presentation, export_presentation, load_document
-from bicfrac.wclass import WClass, check_bf
+from bicfrac.psfun import identity_psfun, induce_g_tilde
+from bicfrac.wclass import WClass, check_bf, saturate
 from pasting_reference import Assoc, AssocInv, Atom, WhiskL, WhiskR, eval_pasting, vchain
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,6 +134,68 @@ def test_localization_accessors(toy, classes):
     assert cls.src == idB and cls.tgt == idB
     for r in cls.reps:
         assert loc.class_of(idB, idB, r) == cid
+
+
+def count_builds(monkeypatch) -> list:
+    """The arguments of every localization built from now on."""
+    builds = []
+    real = fractions._build_localization
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fractions, "_build_localization", counted)
+    return builds
+
+
+def test_a_held_localization_is_shared_with_the_lift_and_its_replay(toy, classes, monkeypatch):
+    W = classes["W"]
+    loc = materialize_fractions(toy, W)
+    lift = induce_g_tilde(identity_psfun(toy), W, W)
+    assert lift.source_loc is loc
+    assert lift.target_loc is materialize_fractions(toy, saturate(toy, W).members)
+    builds = count_builds(monkeypatch)
+    report = cross_validate_theorems(identity_psfun(toy), W, W)
+    assert report["lift-biconditional"].ran and report.passed
+    assert builds == []
+    # Released, both sides are built again.
+    del loc, lift
+    gc.collect()
+    cross_validate_theorems(identity_psfun(toy), W, W)
+    assert len(builds) == 2
+
+
+def test_a_released_localization_is_freed(toy, classes):
+    ref = weakref.ref(materialize_fractions(toy, classes["W"]))
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_shared_localization_validates_once(toy, classes, monkeypatch):
+    checked = []
+    real = fractions.validate_bicat
+
+    def counted(B):
+        checked.append(B)
+        return real(B)
+
+    monkeypatch.setattr(fractions, "validate_bicat", counted)
+    loc = materialize_fractions(toy, classes["W"], validate=False)
+    assert materialize_fractions(toy, classes["W"]) is loc
+    assert materialize_fractions(toy, classes["W"]) is loc
+    assert [B for B in checked if B is loc.bicat] == [loc.bicat]
+
+
+def test_a_failed_validation_raises_at_every_call(toy, classes, monkeypatch):
+    loc = materialize_fractions(toy, classes["W"], validate=False)
+    failing = ValidationReport(False, [Violation("pentagon", (), "planted")], False, False)
+    monkeypatch.setattr(fractions, "validate_bicat", lambda B: failing)
+    for _ in range(2):
+        with pytest.raises(LocalizationError, match="pentagon"):
+            materialize_fractions(toy, classes["W"])
+    monkeypatch.undo()
+    assert materialize_fractions(toy, classes["W"]) is loc
 
 
 def test_universal_map_collapses_exactly_when_the_class_demands(toy, classes):
