@@ -8,7 +8,8 @@ structural table is enumerated explicitly, producing an ordinary `FinBicat`
 that is then run through the full validator.  The spans and classes are
 declared first; the composition, whiskering and coherence tables are then
 filled by walking the new `FinBicat`'s own domains (`core.composable_pairs`
-and its siblings).
+and its siblings).  An entry landing in a frame with a single class is that
+class; only frames with several classes are searched.
 
 The decision procedure for 2-cells is `reps_equivalent`: two representatives
 are identified when a common refinement of their apexes aligns both their
@@ -395,8 +396,12 @@ def materialize_fractions(B: FinBicat, W: WClass, *, validate: bool = True) -> L
 
     Requires a lawful base and the closure axioms for ``W``, both checked up
     front, raising `PreconditionError`.  Each associator and unitor is
-    the least invertible class of its frame.  With ``validate`` the resulting
-    bicategory is validated exhaustively; a failure raises
+    the least invertible class of its frame.  A vertical composite or a
+    whiskering of classes is a class of the frame its key dictates, so an
+    entry whose frame holds one class is that class and is not searched
+    for; the searches run only in frames with two or more classes.  With
+    ``validate`` the resulting bicategory is validated exhaustively (on a
+    thin result, by `validate_bicat`'s thin-frame rule); a failure raises
     `LocalizationError` carrying the validation report.
 
     The result is shared: while any caller holds it, every call with the same
@@ -556,11 +561,23 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
             f"no composition site for classes over {S1.id!r} ⇒ {S3.id!r}"
         )
 
+    def forced(src: str, tgt: str) -> Optional[str]:
+        """The class of the frame ``src ⇒ tgt`` when it is the frame's only one.
+
+        Every composite and whiskering of classes is a class of its target
+        frame, so an entry landing in a frame with one class is that class,
+        and its search can be skipped.
+        """
+        cells = mat.cells2(src, tgt)
+        return cells[0] if len(cells) == 1 else None
+
     for a in mat.two_cells:
         c1 = classes[a.id]
         for b in mat.from2(a.tgt):
             c2 = classes[b.id]
-            mat.vcomp[(b.id, a.id)] = compose_classes(c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep)
+            mat.vcomp[(b.id, a.id)] = forced(a.src, b.tgt) or compose_classes(
+                c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep
+            )
 
     def whisk_right_class(psi_cls: TwoCellClass, S: Span) -> str:
         """Class of ``psi ∗ i_S`` for ``psi: T1 ⇒ T2`` and a span ``S``."""
@@ -688,9 +705,13 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
         )
 
     for g, a in lwhisker_pairs(mat):
-        mat.whisk_left[(g.id, a.id)] = whisk_left_class(sids[g.id], classes[a.id])
+        mat.whisk_left[(g.id, a.id)] = forced(
+            hcomp1[(g.id, a.src)], hcomp1[(g.id, a.tgt)]
+        ) or whisk_left_class(sids[g.id], classes[a.id])
     for b, f in rwhisker_pairs(mat):
-        mat.whisk_right[(b.id, f.id)] = whisk_right_class(classes[b.id], sids[f.id])
+        mat.whisk_right[(b.id, f.id)] = forced(
+            hcomp1[(b.src, f.id)], hcomp1[(b.tgt, f.id)]
+        ) or whisk_right_class(classes[b.id], sids[f.id])
 
     def invertible_class(src_sid: str, tgt_sid: str, context: str) -> str:
         """Least class in the frame that is invertible for the built tables."""

@@ -353,8 +353,20 @@ def test_witness_search_matches_the_reference_on_generated_instances(family, siz
         assert pairs > 0, label
 
 
-# sha256 of `export_presentation` of each localization above, as written by
-# the tree-evaluating implementation; the cell ids and tables must not drift.
+def pinned_classes():
+    """The classes above, and `chain(5)` and `chain(6)` at all their 1-cells."""
+    cases = fixture_bf_classes()
+    for family, size in GENERATED:
+        cases += generated_classes(family, size)
+    for size in (5, 6):
+        cases += [case for case in generated_classes("chain", size) if case[0].endswith(":all")]
+    return cases
+
+
+# sha256 of `export_presentation` of each localization of `pinned_classes`,
+# as written by the tree-evaluating implementation, and for `chain(5)` and
+# `chain(6)` by the last one that searched every table entry; the cell ids
+# and tables must not drift.
 LOCALIZATION_DIGESTS = {
     "appx-toy-loopy:W": "e7845ad6b31417a6e3f19f6e7df91d4f3f068360a7916a64f0831a5443888de4",
     "appx-toy-loopy:Wmin": "d8bc3e2317c01cdfa51759eae265aea7b7cf524446dacba163f40daba02efa2b",
@@ -383,15 +395,14 @@ LOCALIZATION_DIGESTS = {
     "cyclic_loop4:W": "827a332bdb75d4aaf6ea1983ab232ae8e5cd2352f00a1ba32507183d8a0b1245",
     "cyclic_loop5:Wmin": "81684739a80b8777a9b0bc0f2988f9fa88d90a9dd1c8acb74b03fff349d6bebf",
     "cyclic_loop5:W": "82908ae0e481eed98404f4cf4ae564367962066ccc2fbf23d6160a08f408400b",
+    "chain5:all": "dc39e2822ba9bc91ee2e4ead6720573b673b711c830dc44b670d4f13bc2c500d",
+    "chain6:all": "bfc3d9d97d6fa8ec9b14e6a4729b0f8f2a03ba131cb63f71ae17b19eb11ec6a1",
 }
 
 
 def test_localization_documents_match_the_pinned_digests():
-    cases = fixture_bf_classes()
-    for family, size in GENERATED:
-        cases += generated_classes(family, size)
     got = {}
-    for label, B, W in cases:
+    for label, B, W in pinned_classes():
         L = materialize_fractions(B, W).bicat
         text = export_presentation(Presentation(L, {}, {}, L.name))
         got[label] = hashlib.sha256(text.encode()).hexdigest()
@@ -418,9 +429,7 @@ def assert_walks_are_the_table_domains(B: FinBicat) -> None:
 def test_domain_walks_are_the_table_domains():
     docs = [load_document(str(p)) for p in sorted(FIXTURE_DIR.glob("*.json"))]
     assert "discrete2" in {d.bicat.name for d in docs}
-    cases = fixture_bf_classes()
-    for family, size in GENERATED:
-        cases += generated_classes(family, size)
+    cases = pinned_classes()
     assert len(docs) == 8 and len(cases) == len(LOCALIZATION_DIGESTS)
     for doc in docs:
         assert_walks_are_the_table_domains(doc.bicat)

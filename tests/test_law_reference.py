@@ -1,14 +1,21 @@
 """The law checks against the product-filtering loops they replaced.
 
 `reference_law_violations` and `reference_psfun_law_violations` are the law
-checks as they were when every domain was a filtered product of cells.  Each
-well-typed single-entry mutant of the sources below, made by replacing one
-value of a 2-cell table with another 2-cell of the same frame, must get the
-same violation list from `validate_bicat` or `validate_psfun`, order
-included.
+checks as they were when every domain was a filtered product of cells, and
+they never ask whether a frame is thin.  Each well-typed single-entry mutant
+of the sources below, made by replacing one value of a 2-cell table with
+another 2-cell of the same frame, must get the same violation list from
+`validate_bicat` or `validate_psfun`, order included.
+
+A thin frame has no such mutant, so two more kinds reach the thin-frame
+rule from both sides: `thickened` sources, where one frame of a thin
+bicategory gets a second cell and its laws are checked in full again, and
+`lax_unitor_sources`, thin bicategories whose unitors have no reverse cell,
+so the rule must decide their invertibility.
 """
 
 import dataclasses
+import itertools
 import random
 
 from bicfrac.builders import (
@@ -23,8 +30,11 @@ from bicfrac.core import (
     FinBicat,
     TwoCell,
     Violation,
+    composable_triples,
     hcompose2,
     is_invertible2,
+    lwhisker_pairs,
+    rwhisker_pairs,
     two_cell_inverse,
     validate_bicat,
     vcompose,
@@ -32,7 +42,9 @@ from bicfrac.core import (
     whisker_left,
     whisker_right,
 )
+from bicfrac.fractions import materialize_fractions
 from bicfrac.psfun import PsFun, identity_psfun, validate_psfun
+from bicfrac.wclass import WClass
 from test_fractions import bench_corpus
 
 
@@ -258,8 +270,15 @@ def reference_psfun_law_violations(F: PsFun) -> list[Violation]:
     return out
 
 
+def chain_localization(n: int) -> FinBicat:
+    """The localization of `chain(n)` at all its 1-cells."""
+    inst = bench_corpus().chain(n, random.Random(n))
+    B = inst.build()
+    return materialize_fractions(B, WClass.of(B, inst.classes["all"], "all")).bicat
+
+
 def sources() -> list[FinBicat]:
-    """The toy, the loopy toy, `iso2`, `arrow2`, `cyclic_loop(3)` and `chain(3)`."""
+    """The toy, the loopy toy, `iso2`, `arrow2`, `cyclic_loop(3)`, `chain(3)` and `chain(5)` localized."""
     corpus = bench_corpus()
     return [
         appendix_toy(),
@@ -268,7 +287,102 @@ def sources() -> list[FinBicat]:
         arrow2(),
         corpus.cyclic_loop(3, random.Random(3)).build(),
         corpus.chain(3, random.Random(3)).build(),
+        chain_localization(5),
     ]
+
+
+def thickened(B: FinBicat, c: str) -> FinBicat:
+    """``B`` with a second cell ``c'`` in the frame of ``c``, acting as ``c`` does.
+
+    Each `vcomp`, `whisk_left` and `whisk_right` row with ``c`` in its key
+    gets twins with ``c'`` in any of those places and the same value, so the
+    tables stay total and well typed.  ``c'`` is never a value, so the laws
+    that hold of ``c`` (its identity law first) can fail of ``c'``.
+    """
+    t = B.two(c)
+    twin = f"{c}'"
+
+    def twins(table: dict) -> dict:
+        out = dict(table)
+        for key, v in table.items():
+            for k in itertools.product(*([p, twin] if p == c else [p] for p in key)):
+                out.setdefault(k, v)
+        return out
+
+    return dataclasses.replace(
+        B,
+        two_cells=B.two_cells + (TwoCell(twin, t.src, t.tgt),),
+        vcomp=twins(B.vcomp),
+        whisk_left=twins(B.whisk_left),
+        whisk_right=twins(B.whisk_right),
+        name=f"{B.name}+{twin}",
+    )
+
+
+def thick_pairs() -> list[tuple[FinBicat, FinBicat]]:
+    """``(B, thickened B)`` for `chain(3)` at each frame and its localization at its first two.
+
+    Those two are the identity class of the first span and a class between
+    two spans; the localization's other frames would add seconds, not kinds.
+    """
+    B = bench_corpus().chain(3, random.Random(3)).build()
+    L = chain_localization(3)
+    return [(B, thickened(B, t.id)) for t in B.two_cells] + [(L, thickened(L, t.id)) for t in L.two_cells[:2]]
+
+
+def thick_sources() -> list[FinBicat]:
+    return [T for _, T in thick_pairs()]
+
+
+def refilled(B: FinBicat, hcomp1: dict) -> FinBicat:
+    """The thin ``B`` with new 1-cell composites and every 2-cell table refilled.
+
+    Each whisker, associator and unitor entry becomes the one cell of the
+    frame its key now dictates.  Vertical composites and identities do not
+    depend on ``hcomp1`` and are kept.
+    """
+    H = {**B.hcomp1, **hcomp1}
+
+    def only(f: str, g: str) -> str:
+        (cell,) = B.cells2(f, g)
+        return cell
+
+    return dataclasses.replace(
+        B,
+        hcomp1=H,
+        whisk_left={(g.id, a.id): only(H[(g.id, a.src)], H[(g.id, a.tgt)]) for g, a in lwhisker_pairs(B)},
+        whisk_right={(b.id, f.id): only(H[(b.src, f.id)], H[(b.tgt, f.id)]) for b, f in rwhisker_pairs(B)},
+        assoc={
+            (h.id, g.id, f.id): only(H[(h.id, H[(g.id, f.id)])], H[(H[(h.id, g.id)], f.id)])
+            for h, g, f in composable_triples(B)
+        },
+        runit={c.id: only(H[(c.id, B.id1[c.src])], c.id) for c in B.one_cells},
+        lunit={c.id: only(H[(B.id1[c.tgt], c.id)], c.id) for c in B.one_cells},
+        strict=False,
+        name=f"{B.name}~{sorted(hcomp1)}",
+    )
+
+
+def lax_unitor_sources() -> list[FinBicat]:
+    """`arrow2` with ``b∘idX``, ``idY∘b`` or both made ``a``.
+
+    Each is thin and well typed, and the unitor ``a ⇒ b`` of ``b`` it
+    forces is ``nu``, which has no reverse cell, so it is not invertible.
+    """
+    A = arrow2()
+    right, left = {("b", "idX"): "a"}, {("idY", "b"): "a"}
+    return [refilled(A, h) for h in (right, left, {**right, **left})]
+
+
+def forced_psfun(S: FinBicat, T: FinBicat) -> PsFun:
+    """The map from ``S`` to a thin ``T`` with the same cells, comparison cells forced.
+
+    Each compositor and unit comparison is the one cell of its frame in ``T``.
+    """
+    F = identity_psfun(S)
+    psi = {(g, f): T.cells2(S.hcomp1[(g, f)], T.hcomp1[(g, f)])[0] for g, f in F.psi}
+    sigma = {x: T.cells2(S.id1[x], T.id1[x])[0] for x in S.objects}
+    return dataclasses.replace(F, target=T, psi=psi, sigma=sigma, name=f"{S.name}->{T.name}")
 
 
 def psfun_sources() -> list[PsFun]:
@@ -279,6 +393,19 @@ def psfun_sources() -> list[PsFun]:
     return [identity_psfun(B) for B in sources()] + [
         collapse_loop(appendix_toy(), toyq()),
         quotient,
+    ]
+
+
+def thin_rule_psfun_sources() -> list[PsFun]:
+    """Maps whose target is a `thick_sources` or `arrow2` bicategory.
+
+    The identity map of `chain(3)`, or of its localization, into each of its
+    thickenings, which is lawful; and the map from each `lax_unitor_sources`
+    bicategory back to `arrow2`, whose compositor at the mutated composite
+    is ``nu`` and so is not invertible.
+    """
+    return [dataclasses.replace(identity_psfun(B), target=T) for B, T in thick_pairs()] + [
+        forced_psfun(S, arrow2()) for S in lax_unitor_sources()
     ]
 
 
@@ -302,8 +429,15 @@ def triples(violations: list[Violation]) -> list[tuple]:
 
 def test_bicategory_laws_match_the_reference_on_every_mutant():
     count = lawless = 0
-    for B in sources():
+    lawful, thick = sources(), thick_sources()
+    for B in lawful:
         assert triples(validate_bicat(B).violations) == triples(reference_law_violations(B)) == []
+    for B in thick + lax_unitor_sources():
+        want = triples(reference_law_violations(B))
+        assert triples(validate_bicat(B).violations) == want, B.name
+        count += 1
+        lawless += bool(want)
+    for B in lawful + thick:
         names = ("vcomp", "whisk_left", "whisk_right", "assoc", "runit", "lunit")
         for name, table in mutants(B, {n: getattr(B, n) for n in names}):
             # A mutated coherence cell makes a declared strict flag false.
@@ -312,17 +446,36 @@ def test_bicategory_laws_match_the_reference_on_every_mutant():
             assert triples(validate_bicat(M).violations) == want, (B.name, name)
             count += 1
             lawless += bool(want)
-    assert (count, lawless) == (58, 56)
+    assert (count, lawless) == (176, 174)
 
 
 def test_pseudofunctor_laws_match_the_reference_on_every_mutant():
     count = lawless = 0
-    for F in psfun_sources():
+    lawful, thin_rule = psfun_sources(), thin_rule_psfun_sources()
+    for F in lawful:
         assert triples(validate_psfun(F).violations) == triples(reference_psfun_law_violations(F)) == []
+    for F in thin_rule:
+        want = triples(reference_psfun_law_violations(F))
+        assert triples(validate_psfun(F).violations) == want, F.name
+        count += 1
+        lawless += bool(want)
+    for F in lawful + thin_rule:
         for name, table in mutants(F.target, {"f2": F.f2, "psi": F.psi, "sigma": F.sigma}):
             M = dataclasses.replace(F, **{name: table})
             want = triples(reference_psfun_law_violations(M))
             assert triples(validate_psfun(M).violations) == want, (F.name, name)
             count += 1
             lawless += bool(want)
-    assert (count, lawless) == (24, 22)
+    assert (count, lawless) == (58, 33)
+
+
+def test_the_thin_rule_sources_reach_both_branches():
+    """Thickening leaves a thin source; the lax unitors are decided by inhabitation alone."""
+    assert all(not B.is_thin() for B in thick_sources())
+    for B in lax_unitor_sources():
+        assert B.is_thin()
+        laws = [(v.law, v.cells) for v in validate_bicat(B).violations]
+        assert laws and {law for law, _ in laws} == {"unitor:invertible"}
+        F = forced_psfun(B, arrow2())
+        assert F.target.is_thin()
+        assert validate_psfun(F).laws_failed() == {"psfun:compositor-invertible"}
