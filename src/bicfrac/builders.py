@@ -1,11 +1,14 @@
 """Ready-made finite bicategories, 1-cell classes and pseudofunctors.
 
-Every fixture here is a strict 2-category, assembled through `build_strict`,
-which fills in all the forced table entries: identity 2-cells, whiskers and
+Every fixture here is a strict 2-category, assembled through `build_strict`.
+It declares the cells and fills each table by walking its domain with
+`core`'s walks, taking the forced entries (identity 2-cells, whiskers and
 vertical composites involving identities, and identity associators and
-unitors.  Callers declare only the cells and the handful of genuinely
-non-trivial table entries, and strictness of the declared composition is
-verified up front.
+unitors) and the given ones.  Callers declare only the cells and the handful
+of genuinely non-trivial table entries.  The tables are then checked by
+`structural_violations` alone: a missing entry, a mistyped composite or a
+composition that is not associative or unital on the nose raises
+`StructureError` naming the first entry at fault.
 
 The catalog:
 
@@ -29,7 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FinBicat, OneCell, StructureError, TwoCell, composable_pairs
+from .core import (
+    FinBicat,
+    OneCell,
+    StructureError,
+    TwoCell,
+    composable_pairs,
+    composable_triples,
+    lwhisker_pairs,
+    rwhisker_pairs,
+    structural_violations,
+    vertical_pairs,
+)
 from .psfun import PsFun, identity_psfun
 from .wclass import WClass
 
@@ -50,115 +64,61 @@ def build_strict(
 
     ``two_cells`` lists only the non-identity 2-cells; ``vcomp``,
     ``whisk_left`` and ``whisk_right`` only the entries where no factor is an
-    identity 2-cell.  Missing required entries and failures of on-the-nose
-    associativity or unitality raise `StructureError` immediately.
+    identity 2-cell.  Every associator and unitor is the identity 2-cell of
+    its source 1-cell.  An entry that is neither forced nor given is left
+    out, and the first fault `structural_violations` finds, such as a
+    missing entry or an associator of a non-associative composition, raises
+    `StructureError` naming the entry.
     """
-    id2_names = dict(id2_names or {})
-    vcomp = dict(vcomp or {})
-    whisk_left = dict(whisk_left or {})
-    whisk_right = dict(whisk_right or {})
+    id2_names = id2_names or {}
+    vcomp = vcomp or {}
+    whisk_left = whisk_left or {}
+    whisk_right = whisk_right or {}
 
     ones = [OneCell(*c) for c in one_cells]
-    one_ids = {c.id: c for c in ones}
-    id2 = {f: id2_names.get(f, f"i_{f}") for f in one_ids}
+    id2 = {c.id: id2_names.get(c.id, f"i_{c.id}") for c in ones}
     twos = [TwoCell(id2[c.id], c.id, c.id) for c in ones]
     twos += [TwoCell(*t) for t in two_cells]
     identity2 = set(id2.values())
-
-    def h1(g: str, f: str) -> str:
-        try:
-            return hcomp1[(g, f)]
-        except KeyError:
-            raise StructureError(f"missing composite for ({g!r}, {f!r})") from None
-
-    for h in ones:
-        for g in ones:
-            if h.src != g.tgt:
-                continue
-            for f in ones:
-                if g.src != f.tgt:
-                    continue
-                if h1(h.id, h1(g.id, f.id)) != h1(h1(h.id, g.id), f.id):
-                    raise StructureError(
-                        f"composition not associative at ({h.id!r}, {g.id!r}, {f.id!r})"
-                    )
-    for c in ones:
-        if h1(c.id, id1[c.src]) != c.id or h1(id1[c.tgt], c.id) != c.id:
-            raise StructureError(f"composition not unital at {c.id!r}")
-
-    full_v: dict[tuple[str, str], str] = {}
-    for b in twos:
-        for a in twos:
-            if a.tgt != b.src:
-                continue
-            if a.id in identity2:
-                full_v[(b.id, a.id)] = b.id
-            elif b.id in identity2:
-                full_v[(b.id, a.id)] = a.id
-            else:
-                try:
-                    full_v[(b.id, a.id)] = vcomp[(b.id, a.id)]
-                except KeyError:
-                    raise StructureError(
-                        f"missing vertical composite for ({b.id!r}, {a.id!r})"
-                    ) from None
-
-    full_wl: dict[tuple[str, str], str] = {}
-    for g in ones:
-        for a in twos:
-            if one_ids[a.tgt].tgt != g.src:
-                continue
-            if a.id in identity2:
-                full_wl[(g.id, a.id)] = id2[h1(g.id, a.src)]
-            else:
-                try:
-                    full_wl[(g.id, a.id)] = whisk_left[(g.id, a.id)]
-                except KeyError:
-                    raise StructureError(
-                        f"missing left whisker for ({g.id!r}, {a.id!r})"
-                    ) from None
-    full_wr: dict[tuple[str, str], str] = {}
-    for b in twos:
-        for f in ones:
-            if f.tgt != one_ids[b.src].src:
-                continue
-            if b.id in identity2:
-                full_wr[(b.id, f.id)] = id2[h1(b.src, f.id)]
-            else:
-                try:
-                    full_wr[(b.id, f.id)] = whisk_right[(b.id, f.id)]
-                except KeyError:
-                    raise StructureError(
-                        f"missing right whisker for ({b.id!r}, {f.id!r})"
-                    ) from None
-
-    assoc = {}
-    for h in ones:
-        for g in ones:
-            if h.src != g.tgt:
-                continue
-            for f in ones:
-                if g.src == f.tgt:
-                    assoc[(h.id, g.id, f.id)] = id2[h1(h.id, h1(g.id, f.id))]
-    runit = {c.id: id2[c.id] for c in ones}
-    lunit = {c.id: id2[c.id] for c in ones}
-
-    return FinBicat(
+    B = FinBicat(
         objects=tuple(objects),
         one_cells=tuple(ones),
         two_cells=tuple(twos),
         id1=dict(id1),
         id2=id2,
         hcomp1=dict(hcomp1),
-        vcomp=full_v,
-        whisk_left=full_wl,
-        whisk_right=full_wr,
-        assoc=assoc,
-        runit=runit,
-        lunit=lunit,
+        vcomp={},
+        whisk_left={},
+        whisk_right={},
+        assoc={},
+        runit={c.id: id2[c.id] for c in ones},
+        lunit={c.id: id2[c.id] for c in ones},
         strict=True,
         name=name,
     )
+    H = B.hcomp1
+
+    def fill(table: dict, key: tuple, value: Optional[str]) -> None:
+        if value is not None:
+            table[key] = value
+
+    # ``id2.get`` of a missing composite is None, so such entries stay out.
+    for b, a in vertical_pairs(B):
+        key = (b.id, a.id)
+        fill(B.vcomp, key, b.id if a.id in identity2 else a.id if b.id in identity2 else vcomp.get(key))
+    for g, a in lwhisker_pairs(B):
+        key = (g.id, a.id)
+        fill(B.whisk_left, key, id2.get(H.get((g.id, a.src))) if a.id in identity2 else whisk_left.get(key))
+    for b, f in rwhisker_pairs(B):
+        key = (b.id, f.id)
+        fill(B.whisk_right, key, id2.get(H.get((b.src, f.id))) if b.id in identity2 else whisk_right.get(key))
+    for h, g, f in composable_triples(B):
+        fill(B.assoc, (h.id, g.id, f.id), id2.get(H.get((h.id, H.get((g.id, f.id))))))
+
+    faults = structural_violations(B)
+    if faults:
+        raise StructureError(f"{faults[0].entry}: {faults[0].detail}")
+    return B
 
 
 def appendix_toy(loop_square: str = "identity") -> FinBicat:

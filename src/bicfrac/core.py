@@ -8,15 +8,15 @@ Construction rejects undeclared cells and indexes the cells by source and
 target (`FinBicat.into1`, `from2`, `over_into`, ...).  The domain of each
 binary and ternary table is walked through those indexes by one function
 (`composable_pairs`, `composable_triples`, `vertical_pairs`,
-`lwhisker_pairs`, `rwhisker_pairs`), in the order the table's rows are
-exported; the law checks and the table builders iterate these walks.
-`structural_violations` checks that
-every table is total and well typed, and `validate_bicat` runs that check
-and then the axioms exhaustively.  A fixed chain of 2-cells (a pasting
-diagram read in application order) is evaluated by table lookups, one per
-factor (`assoc_cell`, `whisker_left`, `inverse_cell`, ...), folded by the
-checked vertical composite `vfold`; each raises `TypingError` where the
-chain is ill typed.  Small search utilities (`two_cell_inverse`,
+`lwhisker_pairs`, `rwhisker_pairs`); the law checks, the table builders
+and the export of a document's rows iterate these walks, so they alone
+decide each table's domain and row order.  `structural_violations` checks
+that every table is total and well typed, and `validate_bicat` runs that
+check and then the axioms exhaustively, once per bicategory.  A fixed chain
+of 2-cells (a pasting diagram read in application order) is evaluated by
+table lookups, one per factor (`assoc_cell`, `whisker_left`,
+`inverse_cell`, ...), folded by the checked vertical composite `vfold`;
+each raises `TypingError` where the chain is ill typed.  Small search utilities (`two_cell_inverse`,
 `internal_equivalence_witness`) decide invertibility.
 
 Derived composition of 2-cells (`hcompose2`) is defined from the whiskering
@@ -481,9 +481,9 @@ class Violation:
 
     @property
     def entry(self) -> str:
-        """The entry at fault of a ``structure:<table>`` violation, as a document names it."""
+        """The entry at fault of a ``...structure:<table>`` violation, as a document names it."""
         key = self.cells[0] if len(self.cells) == 1 else self.cells
-        return entry_name(self.law.partition(":")[2], key)
+        return entry_name(self.law.rpartition(":")[2], key)
 
 
 @dataclass
@@ -497,8 +497,8 @@ class ValidationReport:
         return {v.law for v in self.violations}
 
 
-# The domain of each binary and ternary table, walked through the indexes in
-# the order `export_presentation` writes the table's rows.
+# The domain of each binary and ternary table, walked through the indexes.
+# `export_presentation` writes each table's rows in its walk's order.
 
 
 def composable_pairs(B: FinBicat) -> Iterator[tuple[OneCell, OneCell]]:
@@ -771,7 +771,14 @@ def validate_bicat(B: FinBicat) -> ValidationReport:
     frames hold at most one 2-cell each, only the coherence cells'
     invertibility is left to decide, and it is decided by whether the
     reverse frame is inhabited (`_law_violations`).
+
+    The report is kept in ``B``'s cache, which is sound because no table of
+    a finished bicategory is written again, so each bicategory is checked at
+    most once.  It is shared by every caller, so it must be read, never
+    modified.
     """
+    if "report" in B._cache:
+        return B._cache["report"]
     violations = structural_violations(B)
     components_id = False
     if not violations:
@@ -781,9 +788,10 @@ def validate_bicat(B: FinBicat) -> ValidationReport:
             violations.append(
                 Violation("strict-flag", (), "declared strict but has non-identity components")
             )
-    return ValidationReport(
+    B._cache["report"] = ValidationReport(
         passed=not violations,
         violations=violations,
         strict_flag=B.strict,
         components_identity=components_id,
     )
+    return B._cache["report"]

@@ -383,14 +383,6 @@ class Localization:
         raise StructureError(f"representative {rep!r} missing from enumeration")
 
 
-@dataclass
-class _LocalizationEntry:
-    """A memo entry: the localization while someone holds it, and whether it validated."""
-
-    ref: weakref.ref
-    validated: bool = False
-
-
 def materialize_fractions(B: FinBicat, W: WClass, *, validate: bool = True) -> Localization:
     """Construct the localization of ``B`` at ``W`` as explicit tables.
 
@@ -405,25 +397,24 @@ def materialize_fractions(B: FinBicat, W: WClass, *, validate: bool = True) -> L
     `LocalizationError` carrying the validation report.
 
     The result is shared: while any caller holds it, every call with the same
-    base, member set and class name returns the same object, validated at
-    most once, so it must be read, never modified.  The base's cache refers
+    base and member set returns the same object, named after the class it
+    was first built for, so it must be read, never modified.  Its validation
+    report is `validate_bicat`'s, made at most once.  The base's cache refers
     to it only weakly, and once released it is built afresh.
     """
-    name = f"{B.name}[{W.name or 'W'}^-1]"
-    key = ("localization", W.members, name)
-    entry = B._cache.get(key)
-    loc = entry.ref() if entry is not None else None
+    key = ("localization", W.members)
+    ref = B._cache.get(key)
+    loc = ref() if ref is not None else None
     if loc is None:
-        loc = _build_localization(B, W, name)
-        entry = B._cache[key] = _LocalizationEntry(weakref.ref(loc))
-    if validate and not entry.validated:
+        loc = _build_localization(B, W, f"{B.name}[{W.name or 'W'}^-1]")
+        B._cache[key] = weakref.ref(loc)
+    if validate:
         report = validate_bicat(loc.bicat)
         if not report.passed:
             laws = sorted(report.laws_failed())
             raise LocalizationError(
                 f"materialized localization violates: {', '.join(laws)}", report
             )
-        entry.validated = True
     return loc
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
     FinBicat,
@@ -32,8 +32,13 @@ from .core import (
     StructureError,
     TwoCell,
     Violation,
+    composable_pairs,
+    composable_triples,
     entry_name,
+    lwhisker_pairs,
+    rwhisker_pairs,
     structural_violations,
+    vertical_pairs,
 )
 from .psfun import PsFun, structural_psfun_violations
 from .wclass import WClass
@@ -252,27 +257,11 @@ def export_presentation(pres: Presentation) -> str:
         "two_cells": [[t.id, t.src, t.tgt] for t in B.two_cells],
         "id1": [[x, B.id1[x]] for x in B.objects],
         "id2": [[c.id, B.id2[c.id]] for c in B.one_cells],
-        "hcomp1": [[g, f, v] for (g, f), v in _sorted2(B, B.hcomp1, B.pos1)],
-        "vcomp": [[b, a, v] for (b, a), v in _sorted2(B, B.vcomp, B.pos2)],
-        "whisk_left": [
-            [g, a, v]
-            for (g, a), v in sorted(
-                B.whisk_left.items(), key=lambda kv: (B.pos1(kv[0][0]), B.pos2(kv[0][1]))
-            )
-        ],
-        "whisk_right": [
-            [b, f, v]
-            for (b, f), v in sorted(
-                B.whisk_right.items(), key=lambda kv: (B.pos2(kv[0][0]), B.pos1(kv[0][1]))
-            )
-        ],
-        "assoc": [
-            [h, g, f, v]
-            for (h, g, f), v in sorted(
-                B.assoc.items(),
-                key=lambda kv: (B.pos1(kv[0][0]), B.pos1(kv[0][1]), B.pos1(kv[0][2])),
-            )
-        ],
+        "hcomp1": _walk_rows(B.hcomp1, composable_pairs(B)),
+        "vcomp": _walk_rows(B.vcomp, vertical_pairs(B)),
+        "whisk_left": _walk_rows(B.whisk_left, lwhisker_pairs(B)),
+        "whisk_right": _walk_rows(B.whisk_right, rwhisker_pairs(B)),
+        "assoc": _walk_rows(B.assoc, composable_triples(B)),
         "runit": [[f.id, B.runit[f.id]] for f in B.one_cells],
         "lunit": [[f.id, B.lunit[f.id]] for f in B.one_cells],
         "strict": B.strict,
@@ -285,7 +274,7 @@ def export_presentation(pres: Presentation) -> str:
         blocks = []
         for pname, F in pres.psfuns.items():
             sref, tref = pres.psfun_refs.get(pname, ("self", "self"))
-            src, tgt = F.source, F.target
+            src = F.source
             blocks.append(
                 {
                     "name": pname,
@@ -294,13 +283,7 @@ def export_presentation(pres: Presentation) -> str:
                     "f0": [[x, F.f0[x]] for x in src.objects],
                     "f1": [[c.id, F.f1[c.id]] for c in src.one_cells],
                     "f2": [[t.id, F.f2[t.id]] for t in src.two_cells],
-                    "psi": [
-                        [g, f, v]
-                        for (g, f), v in sorted(
-                            F.psi.items(),
-                            key=lambda kv: (src.pos1(kv[0][0]), src.pos1(kv[0][1])),
-                        )
-                    ],
+                    "psi": _walk_rows(F.psi, composable_pairs(src)),
                     "sigma": [[x, F.sigma[x]] for x in src.objects],
                 }
             )
@@ -308,5 +291,7 @@ def export_presentation(pres: Presentation) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _sorted2(B: FinBicat, table: dict, pos) -> list:
-    return sorted(table.items(), key=lambda kv: (pos(kv[0][0]), pos(kv[0][1])))
+def _walk_rows(table: dict, walk: Iterable[tuple]) -> list[list[str]]:
+    """Rows ``[key..., value]`` of ``table``, in the order its domain walk yields the keys."""
+    keys = (tuple(c.id for c in cells) for cells in walk)
+    return [[*key, table[key]] for key in keys]

@@ -35,6 +35,7 @@ from .core import (
     is_invertible2,
     table_violations,
     two_cell_inverse,
+    validate_bicat,
     vcompose,
     vcompose_all,
     vertical_pairs,
@@ -212,14 +213,23 @@ def _psfun_law_violations(F: PsFun) -> list[Violation]:
 def validate_psfun(F: PsFun) -> PsFunReport:
     """Exhaustively check a pseudofunctor's tables against its laws.
 
-    Structural problems (missing or mistyped entries) short-circuit the law
-    checks, and invertibility failures of the comparison cells short-circuit
-    the coherence checks, which compose their inverses.  The source and
-    target must have total, well-typed tables, as every `FinBicat` read from
-    a document or built here has; on a thin target the equational laws then
-    hold outright (`_psfun_law_violations`).
+    The law checks presume total, well-typed tables, so the structural
+    faults of the source and then the target come first, read from their
+    `validate_bicat` reports and named ``source:structure:<table>`` or
+    ``target:structure:<table>``.  Then the pseudofunctor's own structural
+    problems (missing or mistyped entries) short-circuit the law checks, and
+    invertibility failures of the comparison cells short-circuit the
+    coherence checks, which compose their inverses.  On a thin target the
+    equational laws hold outright (`_psfun_law_violations`).
     """
-    violations = structural_psfun_violations(F)
+    violations = [
+        Violation(f"{side}:{v.law}", v.cells, v.detail)
+        for side, B in (("source", F.source), ("target", F.target))
+        for v in validate_bicat(B).violations
+        if v.law.startswith("structure:")
+    ]
+    if not violations:
+        violations = structural_psfun_violations(F)
     if not violations:
         violations = _psfun_law_violations(F)
     return PsFunReport(not violations, violations)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from bicfrac.builders import appendix_toy, discrete2, iso2, toyq
+from bicfrac.builders import appendix_toy, build_strict, discrete2, iso2, toyq
 from bicfrac.core import (
     FinBicat,
     InvertibilityError,
@@ -214,3 +214,78 @@ def test_structural_violations_name_each_faulty_entry(toy):
     assert ("hcomp1[('v', 'idA')]", "value 'idB' has wrong endpoints") in found
     assert ("hcomp1[('v', 'v')]", "extra entry: not a composable pair") in found
     assert ("hcomp1[('idB', 'v')]", "missing entry") in found
+
+
+# `appendix_toy`'s arguments to `build_strict`.
+TOY_SPEC = dict(
+    name="toy",
+    objects=["A", "B"],
+    one_cells=[("idA", "A", "A"), ("idB", "B", "B"), ("v", "A", "B")],
+    hcomp1={("idA", "idA"): "idA", ("idB", "idB"): "idB", ("v", "idA"): "v", ("idB", "v"): "v"},
+    id1={"A": "idA", "B": "idB"},
+    two_cells=[("loop", "idB", "idB")],
+    id2_names={"idA": "iA", "idB": "iB", "v": "iv"},
+    vcomp={("loop", "loop"): "iB"},
+    whisk_left={("idB", "loop"): "loop"},
+    whisk_right={("loop", "idB"): "loop", ("loop", "v"): "iv"},
+)
+
+
+def toy_spec(**tables) -> dict:
+    """The toy's arguments with the named tables' entries replaced; a None value drops the entry."""
+    spec = dict(TOY_SPEC)
+    for table, changes in tables.items():
+        entries = dict(spec[table])
+        for key, value in changes.items():
+            if value is None:
+                del entries[key]
+            else:
+                entries[key] = value
+        spec[table] = entries
+    return spec
+
+
+# Two parallel 1-cells ``a, b: X → Y`` with ``a∘idX = b``: composition is
+# well typed and associative, but not unital at ``a``.
+NON_UNITAL = dict(
+    name="non-unital",
+    objects=["X", "Y"],
+    one_cells=[("idX", "X", "X"), ("idY", "Y", "Y"), ("a", "X", "Y"), ("b", "X", "Y")],
+    hcomp1={
+        ("idX", "idX"): "idX", ("idY", "idY"): "idY",
+        ("a", "idX"): "b", ("idY", "a"): "a", ("b", "idX"): "b", ("idY", "b"): "b",
+    },
+    id1={"X": "idX", "Y": "idY"},
+)
+
+# One object with 1-cells ``a`` and ``b``: ``(a∘a)∘a = b`` but ``a∘(a∘a) = id``.
+NON_ASSOCIATIVE = dict(
+    name="non-associative",
+    objects=["pt"],
+    one_cells=[("idpt", "pt", "pt"), ("a", "pt", "pt"), ("b", "pt", "pt")],
+    hcomp1={
+        ("idpt", "idpt"): "idpt",
+        ("idpt", "a"): "a", ("a", "idpt"): "a", ("idpt", "b"): "b", ("b", "idpt"): "b",
+        ("a", "a"): "b", ("a", "b"): "idpt", ("b", "a"): "b", ("b", "b"): "idpt",
+    },
+    id1={"pt": "idpt"},
+)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (toy_spec(hcomp1={("idB", "v"): None}), "hcomp1[('idB', 'v')]: missing entry"),
+    (toy_spec(hcomp1={("v", "idA"): "idB"}), "hcomp1[('v', 'idA')]: value 'idB' has wrong endpoints"),
+    (toy_spec(vcomp={("loop", "loop"): None}), "vcomp[('loop', 'loop')]: missing entry"),
+    (toy_spec(whisk_right={("loop", "v"): None}), "whisk_right[('loop', 'v')]: missing entry"),
+    (NON_UNITAL, "runit['a']: value 'i_a' has wrong boundary"),
+    (NON_ASSOCIATIVE, "assoc[('a', 'a', 'a')]: value 'i_idpt' has wrong boundary"),
+], ids=["missing-composite", "composite-endpoints", "missing-vcomp", "missing-whisker",
+        "non-unital", "non-associative"])
+def test_build_strict_names_the_first_faulty_entry(spec, message):
+    with pytest.raises(StructureError) as err:
+        build_strict(**spec)
+    assert str(err.value) == message
+
+
+def test_build_strict_spec_builds_the_toy():
+    assert build_strict(**TOY_SPEC) == appendix_toy()

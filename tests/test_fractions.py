@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import hashlib
 import importlib.util
-import json
 import random
 import sys
 import weakref
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bicfrac import fractions
+from bicfrac import core, fractions
 from bicfrac.builders import appendix_toy, arrow2, iso2, iso2_classes, toy_classes, toyq
 from bicfrac.core import (
     FinBicat,
@@ -154,16 +153,17 @@ def test_a_held_localization_is_shared_with_the_lift_and_its_replay(toy, classes
     loc = materialize_fractions(toy, W)
     lift = induce_g_tilde(identity_psfun(toy), W, W)
     assert lift.source_loc is loc
-    assert lift.target_loc is materialize_fractions(toy, saturate(toy, W).members)
+    # ``sat(W)`` has W's members, so the target is the same localization.
+    assert lift.target_loc is materialize_fractions(toy, saturate(toy, W).members) is loc
     builds = count_builds(monkeypatch)
     report = cross_validate_theorems(identity_psfun(toy), W, W)
     assert report["lift-biconditional"].ran and report.passed
     assert builds == []
-    # Released, both sides are built again.
+    # Released, the one localization both sides share is built again.
     del loc, lift
     gc.collect()
     cross_validate_theorems(identity_psfun(toy), W, W)
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_a_released_localization_is_freed(toy, classes):
@@ -172,19 +172,36 @@ def test_a_released_localization_is_freed(toy, classes):
     assert ref() is None
 
 
-def test_a_shared_localization_validates_once(toy, classes, monkeypatch):
+def count_law_checks(monkeypatch) -> list:
+    """Every bicategory whose laws are checked from now on."""
     checked = []
-    real = fractions.validate_bicat
+    real = core._law_violations
 
     def counted(B):
         checked.append(B)
         return real(B)
 
-    monkeypatch.setattr(fractions, "validate_bicat", counted)
+    monkeypatch.setattr(core, "_law_violations", counted)
+    return checked
+
+
+def test_a_shared_localization_validates_once(toy, classes, monkeypatch):
+    checked = count_law_checks(monkeypatch)
     loc = materialize_fractions(toy, classes["W"], validate=False)
     assert materialize_fractions(toy, classes["W"]) is loc
     assert materialize_fractions(toy, classes["W"]) is loc
+    assert validate_bicat(loc.bicat).passed
     assert [B for B in checked if B is loc.bicat] == [loc.bicat]
+
+
+def test_cross_validation_checks_each_bicategory_once(toy, classes, monkeypatch):
+    checked = count_law_checks(monkeypatch)
+    builds = count_builds(monkeypatch)
+    W = classes["W"]
+    assert cross_validate_theorems(identity_psfun(toy), W, W).passed
+    assert len(builds) == 1
+    assert any(B is toy for B in checked)
+    assert len(checked) == len({id(B) for B in checked})
 
 
 def test_a_failed_validation_raises_at_every_call(toy, classes, monkeypatch):
@@ -409,21 +426,24 @@ def test_localization_documents_match_the_pinned_digests():
     assert got == LOCALIZATION_DIGESTS
 
 
+# Each binary and ternary table's domain walk, and the position (1-cell or
+# 2-cell) of each part of its keys.
 WALKS = {
-    "hcomp1": composable_pairs,
-    "vcomp": vertical_pairs,
-    "whisk_left": lwhisker_pairs,
-    "whisk_right": rwhisker_pairs,
-    "assoc": composable_triples,
+    "hcomp1": (composable_pairs, ("pos1", "pos1")),
+    "vcomp": (vertical_pairs, ("pos2", "pos2")),
+    "whisk_left": (lwhisker_pairs, ("pos1", "pos2")),
+    "whisk_right": (rwhisker_pairs, ("pos2", "pos1")),
+    "assoc": (composable_triples, ("pos1", "pos1", "pos1")),
 }
 
 
 def assert_walks_are_the_table_domains(B: FinBicat) -> None:
-    """Each walk yields its table's keys, each once, in the exported row order."""
-    rows = json.loads(export_presentation(Presentation(B, {}, {}, B.name)))
-    for table, walk in WALKS.items():
+    """Each walk yields its table's keys, each once, ordered by declaration position."""
+    for table, (walk, parts) in WALKS.items():
         keys = [tuple(cell.id for cell in cells) for cells in walk(B)]
-        assert keys == [tuple(row[:-1]) for row in rows[table]], (B.name, table)
+        pos = [getattr(B, part) for part in parts]
+        want = sorted(getattr(B, table), key=lambda k: tuple(p(x) for p, x in zip(pos, k)))
+        assert keys == want, (B.name, table)
 
 
 def test_domain_walks_are_the_table_domains():

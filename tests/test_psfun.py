@@ -1,6 +1,7 @@
 """Pseudofunctor validation, class transport and localization lifts."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from bicfrac.builders import (
     toyq_classes,
     trivial_one,
 )
-from bicfrac.core import PreconditionError, validate_bicat
+from bicfrac.core import PreconditionError, validate_bicat, vertical_pairs
 from bicfrac.psfun import (
     g_tilde_on_two_cell,
     identity_psfun,
@@ -24,6 +25,7 @@ from bicfrac.psfun import (
     validate_psfun,
 )
 from bicfrac.wclass import internal_equivalences_class, saturate
+from test_fractions import bench_corpus
 
 
 @pytest.fixture
@@ -64,6 +66,20 @@ def test_validator_catches_broken_compositor(toy):
     psi[("idB", "v")] = "loop"  # wrong boundary for the compositor at (idB, v)
     rep = validate_psfun(dataclasses.replace(F, psi=psi))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_validator_reports_the_faults_of_either_side(side):
+    B = bench_corpus().chain(3, random.Random(3)).build()
+    broken = dataclasses.replace(B, vcomp={})
+    F = dataclasses.replace(identity_psfun(B), **{side: broken})
+    rep = validate_psfun(F)
+    assert not rep.passed
+    assert {v.law for v in rep.violations} == {f"{side}:structure:vcomp"}
+    assert len(rep.violations) == len(list(vertical_pairs(B)))
+    b, a = next(vertical_pairs(B))
+    assert rep.violations[0].entry == f"vcomp[{(b.id, a.id)!r}]"
+    assert rep.violations[0].detail == "missing entry"
 
 
 def test_maps_into(toy, classes):
