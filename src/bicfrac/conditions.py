@@ -16,6 +16,11 @@ decided by exhaustive search in table order.  Four families are covered:
 * ``X1``, ``X2a``..``X2c`` define a weak equivalence of bicategories and
   are checked directly on any pseudofunctor.
 
+Each condition but ``EF3`` is stated once, as a `_Problem`: its candidate
+generator decides which tuples are well typed for an input, and its
+``holds`` decides the condition's equation on one of them, so the search
+and `recheck_witness`, which tests a witness's membership among the
+candidates, share one definition.
 Each verdict records canonical evidence: a witness resolving the
 existentials for the hardest universally quantified input, or the first
 input in enumeration order whose search space was exhausted.  The one
@@ -37,7 +42,6 @@ from .core import (
     FinBicat,
     InvertibilityError,
     PreconditionError,
-    StructureError,
     TypingError,
     assoc_cell,
     assoc_inv_cell,
@@ -45,7 +49,6 @@ from .core import (
     internal_equivalences,
     inv_cells2,
     inverse_cell,
-    is_invertible2,
     two_cell_inverse,
     vcompose_all,
     vfold,
@@ -78,13 +81,24 @@ class ConditionReport:
     detail: str = ""
 
 
+def _solved(u: tuple, w: tuple) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class _Problem:
-    """A condition as data: input enumerator, candidate pool, full check."""
+    """A condition as data: input enumerator, candidate pool, equation.
+
+    ``candidates(u)`` is the only statement of the condition's typing: it
+    yields exactly the well-typed tuples for the input ``u`` (class members,
+    endpoints, invertible cells), so ``holds(u, w)`` checks only the
+    condition's equation on one of them.  A condition without an equation
+    solves every input with any candidate.
+    """
 
     universals: Callable[[], Iterator[tuple]]
     candidates: Callable[[tuple], Iterator[tuple]]
-    verify: Callable[[tuple, tuple], bool]
+    holds: Callable[[tuple, tuple], bool] = _solved
 
 
 def _decide(tag: str, prob: _Problem) -> ConditionReport:
@@ -96,7 +110,7 @@ def _decide(tag: str, prob: _Problem) -> ConditionReport:
         cost = 0
         for cand in prob.candidates(u):
             cost += 1
-            if prob.verify(u, cand):
+            if prob.holds(u, cand):
                 found = cand
                 break
         total += cost
@@ -128,11 +142,6 @@ def _parallel_pairs(B: FinBicat) -> Iterator[tuple[str, str]]:
             yield f.id, g
 
 
-def _is_inv_between(B: FinBicat, a: str, f: str, g: str) -> bool:
-    t = B.two(a)
-    return t.src == f and t.tgt == g and is_invertible2(B, a)
-
-
 # -- the A family ------------------------------------------------------------
 
 
@@ -153,20 +162,7 @@ def _problem_a1(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                     for w2 in _members(tgt, sat_b, ap_b, a_b):
                         yield (a_a, ap_b, w1, w2)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        (a_b,) = u
-        a_a, ap_b, w1, w2 = w
-        if w1 not in W_B or w2 not in sat_b:
-            return False
-        c1, c2 = tgt.one(w1), tgt.one(w2)
-        return (
-            c1.src == ap_b
-            and c1.tgt == F.f0[a_a]
-            and c2.src == ap_b
-            and c2.tgt == a_b
-        )
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates)
 
 
 def _problem_a2(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -199,26 +195,7 @@ def _problem_a2(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                                     for g2 in inv_cells2(tgt, lhs2, rhs2):
                                         yield (a3, w1a, w2a, ap_b, z1, z2, g1, g2)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        a1, a2, a_b, w1b, w2b = u
-        a3, w1a, w2a, ap_b, z1, z2, g1, g2 = w
-        if w1a not in W_A or w2a not in sat_a or z1 not in W_B:
-            return False
-        c1, c2 = src.one(w1a), src.one(w2a)
-        if c1.src != a3 or c1.tgt != a1 or c2.src != a3 or c2.tgt != a2:
-            return False
-        z1c, z2c = tgt.one(z1), tgt.one(z2)
-        if z1c.src != ap_b or z1c.tgt != a_b:
-            return False
-        if z2c.src != ap_b or z2c.tgt != F.f0[a3]:
-            return False
-        return _is_inv_between(
-            tgt, g1, tgt.hcomp1[(w1b, z1)], tgt.hcomp1[(F.f1[w1a], z2)]
-        ) and _is_inv_between(
-            tgt, g2, tgt.hcomp1[(w2b, z1)], tgt.hcomp1[(F.f1[w2a], z2)]
-        )
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates)
 
 
 def _problem_a3(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -244,24 +221,7 @@ def _problem_a3(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                             for al in inv_cells2(tgt, lhs, rhs):
                                 yield (a_a, f_a, ap_b, v1, v2, al)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        b_a, a_b, f_b = u
-        a_a, f_a, ap_b, v1, v2, al = w
-        fc = src.one(f_a)
-        if fc.src != a_a or fc.tgt != b_a:
-            return False
-        if v1 not in W_B or v2 not in sat_b:
-            return False
-        v1c, v2c = tgt.one(v1), tgt.one(v2)
-        if v1c.src != ap_b or v1c.tgt != a_b:
-            return False
-        if v2c.src != ap_b or v2c.tgt != F.f0[a_a]:
-            return False
-        return _is_inv_between(
-            tgt, al, tgt.hcomp1[(f_b, v1)], tgt.hcomp1[(F.f1[f_a], v2)]
-        )
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates)
 
 
 def _equalized_in_source(
@@ -279,16 +239,12 @@ def _equalized_in_source(
         for z_a in _class_into(src, W_A, a_a):
             yield (z_a,)
 
-    def verify(u: tuple, w: tuple) -> bool:
+    def holds(u: tuple, w: tuple) -> bool:
         g1, g2 = u[:2]
         (z_a,) = w
-        if z_a not in W_A:
-            return False
-        if src.one(z_a).tgt != src.one(src.two(g1).src).src:
-            return False
         return whisker_right(src, g1, z_a) == whisker_right(src, g2, z_a)
 
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates, holds)
 
 
 def _problem_a4(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -380,33 +336,16 @@ def _problem_a5(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                         for alpha_a in src.cells2(upper, lower):
                             yield (v_a, z_b, zp_b, sig, alpha_a)
 
-    def verify(u: tuple, w: tuple) -> bool:
+    def holds(u: tuple, w: tuple) -> bool:
         f1, f2, v_b, al = u
         v_a, z_b, zp_b, sig, alpha_a = w
-        if v_a not in W_A or z_b not in W_B:
-            return False
-        a_a = src.one(f1).src
-        if src.one(v_a).tgt != a_a:
-            return False
-        if tgt.one(z_b).tgt != F.f0[src.one(v_a).src]:
-            return False
-        zc = tgt.one(zp_b)
-        if zc.src != tgt.one(z_b).src or zc.tgt != tgt.one(v_b).src:
-            return False
-        if not _is_inv_between(
-            tgt, sig, tgt.hcomp1[(v_b, zp_b)], tgt.hcomp1[(F.f1[v_a], z_b)]
-        ):
-            return False
-        ac = src.two(alpha_a)
-        if ac.src != src.hcomp1[(f1, v_a)] or ac.tgt != src.hcomp1[(f2, v_a)]:
-            return False
         try:
             rhs = a5_composite(F, f1, f2, v_b, v_a, z_b, zp_b, sig, alpha_a)
         except (TypingError, CompositionError, InvertibilityError):
             return False
         return whisker_right(tgt, al, zp_b) == rhs
 
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates, holds)
 
 
 # -- the B family ------------------------------------------------------------
@@ -436,24 +375,7 @@ def _problem_b2(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                             for d2 in inv_cells2(tgt, e, tgt.hcomp1[(fw2, ep)]):
                                 yield (a3, w1, w2, ep, d1, d2)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        a1, a2, e = u
-        a3, w1, w2, ep, d1, d2 = w
-        if w1 not in W_A or w2 not in sat_a:
-            return False
-        c1, c2 = src.one(w1), src.one(w2)
-        if c1.src != a3 or c1.tgt != a1 or c2.src != a3 or c2.tgt != a2:
-            return False
-        if internal_equivalence_witness(tgt, ep) is None:
-            return False
-        epc = tgt.one(ep)
-        if epc.src != F.f0[a1] or epc.tgt != F.f0[a3]:
-            return False
-        return _is_inv_between(
-            tgt, d1, tgt.hcomp1[(F.f1[w1], ep)], tgt.id1[F.f0[a1]]
-        ) and _is_inv_between(tgt, d2, e, tgt.hcomp1[(F.f1[w2], ep)])
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates)
 
 
 def _problem_b3(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -475,20 +397,7 @@ def _problem_b3(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                     for al in inv_cells2(tgt, f_b, tgt.hcomp1[(ff, e)]):
                         yield (a_a, f_a, e, al)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        b_a, a_b, f_b = u
-        a_a, f_a, e, al = w
-        fc = src.one(f_a)
-        if fc.src != a_a or fc.tgt != b_a:
-            return False
-        if internal_equivalence_witness(tgt, e) is None:
-            return False
-        ec = tgt.one(e)
-        if ec.src != a_b or ec.tgt != F.f0[a_a]:
-            return False
-        return _is_inv_between(tgt, al, f_b, tgt.hcomp1[(F.f1[f_a], e)])
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates)
 
 
 def _problem_b4(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -520,21 +429,16 @@ def _problem_b5(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
             for alpha_a in src.cells2(upper, lower):
                 yield (v_a, alpha_a)
 
-    def verify(u: tuple, w: tuple) -> bool:
+    def holds(u: tuple, w: tuple) -> bool:
         f1, f2, al = u
         v_a, alpha_a = w
-        if v_a not in W_A or src.one(v_a).tgt != src.one(f1).src:
-            return False
-        ac = src.two(alpha_a)
-        if ac.src != src.hcomp1[(f1, v_a)] or ac.tgt != src.hcomp1[(f2, v_a)]:
-            return False
         inv1 = two_cell_inverse(tgt, F.psi[(f1, v_a)])
         if inv1 is None:
             return False
         rhs = vcompose_all(tgt, [inv1, F.f2[alpha_a], F.psi[(f2, v_a)]])
         return whisker_right(tgt, al, F.f1[v_a]) == rhs
 
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates, holds)
 
 
 # -- the EF family -----------------------------------------------------------
@@ -555,20 +459,16 @@ def _problem_ef1(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                 for s in tgt.hom1(a_b, img):
                     yield (a_a, t, s)
 
-    def verify(u: tuple, w: tuple) -> bool:
+    def holds(u: tuple, w: tuple) -> bool:
         (a_b,) = u
         a_a, t, s = w
-        img = F.f0[a_a]
-        tc, sc = tgt.one(t), tgt.one(s)
-        if tc.src != img or tc.tgt != a_b or sc.src != a_b or sc.tgt != img:
-            return False
         # Isomorphism of 1-cells: both composites are identities on the nose.
         return (
             tgt.hcomp1[(t, s)] == tgt.id1[a_b]
-            and tgt.hcomp1[(s, t)] == tgt.id1[img]
+            and tgt.hcomp1[(s, t)] == tgt.id1[F.f0[a_a]]
         )
 
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates, holds)
 
 
 def _problem_ef2(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -590,19 +490,7 @@ def _problem_ef2(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
                     for al in inv_cells2(tgt, ff, rhs):
                         yield (ap, f_a, w_a, al)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        a_a, b_a, f_b = u
-        ap, f_a, w_a, al = w
-        if w_a not in W_A:
-            return False
-        wc, fc = src.one(w_a), src.one(f_a)
-        if wc.src != ap or wc.tgt != a_a or fc.src != ap or fc.tgt != b_a:
-            return False
-        return _is_inv_between(
-            tgt, al, F.f1[f_a], tgt.hcomp1[(f_b, F.f1[w_a])]
-        )
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates)
 
 
 def _check_ef3(F: PsFun) -> ConditionReport:
@@ -659,17 +547,11 @@ def _problem_x1(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
             for e in tgt.hom1(F.f0[a_c], a_d):
                 yield (a_c, e)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        (a_d,) = u
+    def holds(u: tuple, w: tuple) -> bool:
         a_c, e = w
-        ec = tgt.one(e)
-        return (
-            ec.src == F.f0[a_c]
-            and ec.tgt == a_d
-            and internal_equivalence_witness(tgt, e) is not None
-        )
+        return internal_equivalence_witness(tgt, e) is not None
 
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates, holds)
 
 
 def _problem_x2a(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -687,15 +569,7 @@ def _problem_x2a(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
             for al in inv_cells2(tgt, F.f1[f_c], f_d):
                 yield (f_c, al)
 
-    def verify(u: tuple, w: tuple) -> bool:
-        a_c, b_c, f_d = u
-        f_c, al = w
-        fc = src.one(f_c)
-        if fc.src != a_c or fc.tgt != b_c:
-            return False
-        return _is_inv_between(tgt, al, F.f1[f_c], f_d)
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates)
 
 
 def _problem_x2b(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -712,10 +586,7 @@ def _problem_x2b(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
     def candidates(u: tuple) -> Iterator[tuple]:
         yield ()
 
-    def verify(u: tuple, w: tuple) -> bool:
-        return False
-
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates, lambda u, w: False)
 
 
 def _problem_x2c(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
@@ -731,13 +602,12 @@ def _problem_x2c(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
         for a in src.cells2(f1, f2):
             yield (a,)
 
-    def verify(u: tuple, w: tuple) -> bool:
+    def holds(u: tuple, w: tuple) -> bool:
         f1, f2, al_d = u
         (a,) = w
-        t = src.two(a)
-        return t.src == f1 and t.tgt == f2 and F.f2[a] == al_d
+        return F.f2[a] == al_d
 
-    return _Problem(universals, candidates, verify)
+    return _Problem(universals, candidates, holds)
 
 
 _BUILDERS: dict[str, Callable[[PsFun, WClass, WClass], _Problem]] = {
@@ -859,14 +729,17 @@ def recheck_witness(
 ) -> bool:
     """Re-validate a stored witness against the condition's equations.
 
-    A witness that names a cell its bicategory does not declare is rejected,
-    not raised on.
+    The witness is accepted when it is one of the candidates the search
+    generates for its input and solves the condition's equation there.  A
+    forged witness, one that names an undeclared cell or a cell of the wrong
+    kind anywhere or has the wrong number of cells, is rejected, not raised
+    on.
     """
     if not report.holds or report.witness is None:
         raise ValueError(f"report for {report.tag} carries no witness")
-    u, w = report.witness
+    u, w = (tuple(cells) for cells in report.witness)  # as read back from JSON too
     if report.tag == "EF3":
-        verify = partial(_verify_ef3_witness, F)
+        replay = partial(_verify_ef3_witness, F)
     else:
         if report.tag in _NEEDS_SOURCE_CLASS and W_A is None:
             raise ValueError(f"{report.tag} needs the source class")
@@ -874,10 +747,14 @@ def recheck_witness(
             raise ValueError(f"{report.tag} needs the target class")
         if report.tag.startswith("B") or report.tag.startswith("EF"):
             W_B = W_A
-        verify = _BUILDERS[report.tag](F, W_A, W_B).verify
+        prob = _BUILDERS[report.tag](F, W_A, W_B)
+
+        def replay(u: tuple, w: tuple) -> bool:
+            return w in prob.candidates(u) and prob.holds(u, w)
+
     try:
-        return verify(u, w)
-    except StructureError:
+        return replay(u, w)
+    except (KeyError, ValueError):  # an unknown cell, a mistyped one, a wrong arity
         return False
 
 
@@ -972,71 +849,61 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
             else:
                 record(name, True, True, "verdicts agree for all five conditions")
 
+    # The last two sub-checks share their hypotheses: the class lands on
+    # internal equivalences and satisfies the localization axioms.
     equiv_ok, escape = maps_into(F, W_A, internal_equivalences_class(tgt))
+    skip = None
+    if not equiv_ok:
+        skip = f"skipped: image of {escape!r} is not an internal equivalence"
+    else:
+        try:
+            _require_bf(src, W_A, "source")
+        except PreconditionError as e:
+            skip = f"skipped: {e}"
 
     name = "strict-family-implication"
-    if not equiv_ok:
-        record(
-            name, False, None,
-            f"skipped: image of {escape!r} is not an internal equivalence",
-        )
+    if skip:
+        record(name, False, None, skip)
     else:
-        try:
-            _require_bf(src, W_A, "source")
-        except PreconditionError as e:
-            record(name, False, None, f"skipped: {e}")
+        ef = [check_EF(F, W_A, i) for i in range(1, 4)]
+        if not all(r.holds for r in ef):
+            failed = ", ".join(r.tag for r in ef if not r.holds)
+            record(name, True, True, f"vacuous: {failed} fails")
         else:
-            ef = [check_EF(F, W_A, i) for i in range(1, 4)]
-            if not all(r.holds for r in ef):
-                failed = ", ".join(r.tag for r in ef if not r.holds)
-                record(name, True, True, f"vacuous: {failed} fails")
+            b = [check_B(F, W_A, i) for i in range(1, 6)]
+            if all(r.holds for r in b):
+                record(name, True, True, "strict family holds and the single-class family follows")
             else:
-                b = [check_B(F, W_A, i) for i in range(1, 6)]
-                if all(r.holds for r in b):
-                    record(name, True, True, "strict family holds and the single-class family follows")
-                else:
-                    failed = ", ".join(r.tag for r in b if not r.holds)
-                    record(name, True, False, f"strict family holds but {failed} fails")
+                failed = ", ".join(r.tag for r in b if not r.holds)
+                record(name, True, False, f"strict family holds but {failed} fails")
 
     name = "equivalence-reflection"
-    if not equiv_ok:
-        record(
-            name, False, None,
-            f"skipped: image of {escape!r} is not an internal equivalence",
-        )
+    ef23 = () if skip else (check_EF(F, W_A, 2), check_EF(F, W_A, 3))
+    failed = ", ".join(r.tag for r in ef23 if not r.holds)
+    if skip:
+        record(name, False, None, skip)
+    elif failed:
+        record(name, False, None, f"skipped: {failed} fails")
     else:
-        try:
-            _require_bf(src, W_A, "source")
-        except PreconditionError as e:
-            record(name, False, None, f"skipped: {e}")
+        eq = frozenset(internal_equivalences(tgt))
+        bad = None
+        for f in src.one_cells:
+            if F.f1[f.id] not in eq:
+                continue
+            found = False
+            for g in src.into1(f.src):
+                if src.hcomp1[(f.id, g.id)] in W_A and F.f1[g.id] in eq:
+                    found = True
+                    break
+            if not found:
+                bad = f.id
+                break
+        if bad is None:
+            record(name, True, True, "every equivalence image is completed into the class")
         else:
-            ef2 = check_EF(F, W_A, 2)
-            ef3 = check_EF(F, W_A, 3)
-            if not (ef2.holds and ef3.holds):
-                failed = ", ".join(
-                    r.tag for r in (ef2, ef3) if not r.holds
-                )
-                record(name, False, None, f"skipped: {failed} fails")
-            else:
-                eq = frozenset(internal_equivalences(tgt))
-                bad = None
-                for f in src.one_cells:
-                    if F.f1[f.id] not in eq:
-                        continue
-                    found = False
-                    for g in src.into1(f.src):
-                        if src.hcomp1[(f.id, g.id)] in W_A and F.f1[g.id] in eq:
-                            found = True
-                            break
-                    if not found:
-                        bad = f.id
-                        break
-                if bad is None:
-                    record(name, True, True, "every equivalence image is completed into the class")
-                else:
-                    record(
-                        name, True, False,
-                        f"{bad!r} admits no factor with composite in the class and equivalent image",
-                    )
+            record(
+                name, True, False,
+                f"{bad!r} admits no factor with composite in the class and equivalent image",
+            )
 
     return TheoremReport(tuple(subchecks), tuple(findings))

@@ -590,8 +590,11 @@ def structural_violations(B: FinBicat) -> list[Violation]:
     the endpoints or boundary its key dictates.  Construction has already
     checked that keys and values are declared cells of the right kind.  The
     domains are walked through the indexes, so the cost is linear in the
-    size of the tables.
+    size of the tables.  The list is kept in ``B``'s cache, as
+    `validate_bicat`'s report is, so it must be read, never modified.
     """
+    if "structure" in B._cache:
+        return B._cache["structure"]
     one, two = B._cache["one_by_id"], B._cache["two_by_id"]
     H, I1 = B.hcomp1, B.id1
     out = table_violations("id1", I1, ((x, (x, x)) for x in B.objects), one)
@@ -630,6 +633,7 @@ def structural_violations(B: FinBicat) -> list[Violation]:
     out += table_violations(
         "lunit", B.lunit, ((c.id, (H.get((I1.get(c.tgt), c.id)), c.id)) for c in B.one_cells), two,
     )
+    B._cache["structure"] = out
     return out
 
 

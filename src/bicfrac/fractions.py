@@ -53,7 +53,6 @@ from .core import (
     composable_triples,
     inv_cells2,
     inverse_cell,
-    is_invertible2,
     lunit_cell,
     lwhisker_pairs,
     runit_cell,
@@ -168,25 +167,6 @@ def rep_sort_key(B: FinBicat, r: TwoCellRep):
         B.posO(r.apex), B.pos1(r.leg1), B.pos1(r.leg2),
         B.pos2(r.alpha), B.pos2(r.beta),
     )
-
-
-def is_valid_rep(B: FinBicat, W: WClass, S1: Span, S2: Span, r: TwoCellRep) -> bool:
-    l1, l2 = B.one(r.leg1), B.one(r.leg2)
-    if l1.src != r.apex or l2.src != r.apex:
-        return False
-    if l1.tgt != S1.apex or l2.tgt != S2.apex:
-        return False
-    w_side_src = B.hcomp1[(S1.back, r.leg1)]
-    w_side_tgt = B.hcomp1[(S2.back, r.leg2)]
-    a = B.two(r.alpha)
-    if (a.src, a.tgt) != (w_side_src, w_side_tgt) or not is_invertible2(B, r.alpha):
-        return False
-    b = B.two(r.beta)
-    f_side_src = B.hcomp1[(S1.forward, r.leg1)]
-    f_side_tgt = B.hcomp1[(S2.forward, r.leg2)]
-    if (b.src, b.tgt) != (f_side_src, f_side_tgt):
-        return False
-    return w_side_src in W
 
 
 def enumerate_reps(B: FinBicat, W: WClass, S1: Span, S2: Span) -> list[TwoCellRep]:
@@ -373,14 +353,16 @@ class Localization:
         return [self.spans[i] for i in self.bicat.hom1(src, tgt)]
 
     def class_of(self, S1: Span, S2: Span, rep: TwoCellRep) -> str:
-        """Class id of a representative; the rep must be valid for the frame."""
+        """Class id of a representative of the frame ``S1 ⇒ S2``.
+
+        The frame's table holds every representative `enumerate_reps`
+        yields, so one that is not in it is not valid for the frame.
+        """
         key = (self.sid(S1), self.sid(S2))
-        table = self._rep_to_class.get(key, {})
-        if rep in table:
-            return table[rep]
-        if not is_valid_rep(self.base, self.wcls, S1, S2, rep):
-            raise StructureError(f"invalid representative {rep!r} for {key!r}")
-        raise StructureError(f"representative {rep!r} missing from enumeration")
+        try:
+            return self._rep_to_class[key][rep]
+        except KeyError:
+            raise StructureError(f"invalid representative {rep!r} for {key!r}") from None
 
 
 def materialize_fractions(B: FinBicat, W: WClass, *, validate: bool = True) -> Localization:

@@ -33,9 +33,9 @@ from .core import (
     hcompose2,
     inv_cells2,
     is_invertible2,
+    structural_violations,
     table_violations,
     two_cell_inverse,
-    validate_bicat,
     vcompose,
     vcompose_all,
     vertical_pairs,
@@ -214,19 +214,19 @@ def validate_psfun(F: PsFun) -> PsFunReport:
     """Exhaustively check a pseudofunctor's tables against its laws.
 
     The law checks presume total, well-typed tables, so the structural
-    faults of the source and then the target come first, read from their
-    `validate_bicat` reports and named ``source:structure:<table>`` or
-    ``target:structure:<table>``.  Then the pseudofunctor's own structural
-    problems (missing or mistyped entries) short-circuit the law checks, and
-    invertibility failures of the comparison cells short-circuit the
-    coherence checks, which compose their inverses.  On a thin target the
-    equational laws hold outright (`_psfun_law_violations`).
+    faults of the source and then the target come first, read through
+    `structural_violations`' cache, so no side's laws are checked here, and
+    named ``source:structure:<table>`` or ``target:structure:<table>``.
+    Then the pseudofunctor's own structural problems (missing or mistyped
+    entries) short-circuit the law checks, and invertibility failures of the
+    comparison cells short-circuit the coherence checks, which compose their
+    inverses.  On a thin target the equational laws hold outright
+    (`_psfun_law_violations`).
     """
     violations = [
         Violation(f"{side}:{v.law}", v.cells, v.detail)
         for side, B in (("source", F.source), ("target", F.target))
-        for v in validate_bicat(B).violations
-        if v.law.startswith("structure:")
+        for v in structural_violations(B)
     ]
     if not violations:
         violations = structural_psfun_violations(F)

@@ -6,6 +6,7 @@ from pathlib import Path
 from bicfrac.cli import run_command
 from bicfrac.presentation import load_document
 from bicfrac.core import validate_bicat
+from test_fractions import count_law_checks
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "bicfrac" / "fixtures"
 TOY = str(FIXTURE_DIR / "appx-toy.json")
@@ -46,6 +47,15 @@ def test_validate_checks_a_declared_strict_flag(capsys, tmp_path):
     code, out = run(capsys, "validate", str(frac))
     assert code == 1
     assert "strict-flag at ()" in out
+
+
+def test_validating_a_map_checks_the_laws_of_its_document_only(capsys, monkeypatch):
+    # The map's target, `toyq`, is read from the document it refers to and
+    # only its structure is the map's concern.
+    checked = count_law_checks(monkeypatch)
+    code, out = run(capsys, "validate", COLLAPSE)
+    assert code == 0 and "PASS" in out
+    assert [B.name for B in checked] == ["collapse-loop"]
 
 
 def test_validate_missing_file_is_usage_error(capsys):

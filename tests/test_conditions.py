@@ -8,6 +8,7 @@ failing condition to the pair ``(iB, loop)``.
 """
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -281,7 +282,7 @@ def test_a5_reports_agree_with_the_tree_on_mutated_maps(suite, monkeypatch):
     # Each compositor and 2-cell image in turn is dropped or replaced by any
     # target 2-cell.  A compositor that is both ill typed and not invertible
     # makes the lookups raise InvertibilityError where the tree, typed
-    # before it is evaluated, raised TypingError; `verify` rejects the
+    # before it is evaluated, raised TypingError; A5's `holds` rejects the
     # candidate either way, so the reports must agree.
     loopy = appendix_toy(loop_square="loop")
     instances = [_args(case) for case in suite.values()]
@@ -397,9 +398,93 @@ def test_mutated_witness_is_rejected(toy, classes):
     u, _ = r.witness
     forged = type(r)(r.tag, True, (u, ("A", "B", "idA", "idA")), None, r.examined)
     assert not recheck_witness(F, forged, classes["W"], classes["W"])
+    for rep in (r, check_EF(F, classes["Wmin"], 3)):
+        u, w = rep.witness
+        for bad in ((u, w[:-1]), (u, w + w[-1:]), (u[:-1], w), (u + u[-1:], w)):
+            forged = dataclasses.replace(rep, witness=bad)
+            assert recheck_witness(F, forged, classes["W"], classes["W"]) is False, (rep.tag, bad)
+        as_json = dataclasses.replace(rep, witness=[list(u), list(w)])
+        assert recheck_witness(F, as_json, classes["W"], classes["W"]) is True, rep.tag
     vacuous = type(r)("A1", True, None, None, 0)
     with pytest.raises(ValueError):
         recheck_witness(F, vacuous, classes["W"], classes["W"])
+
+
+# -- every report and every replay, pinned --------------------------------------
+
+
+X_TAGS = ("X1", "X2a", "X2b", "X2c")
+
+
+def condition_reports(F, W_A, W_B):
+    """Each A, B, EF and X report on one instance, in tag order.
+
+    A check that raises `PreconditionError` contributes its tag and message.
+    """
+    out = []
+    for prefix, check, args, upto in (
+        ("A", check_A, (F, W_A, W_B), 5),
+        ("B", check_B, (F, W_A), 5),
+        ("EF", check_EF, (F, W_A), 3),
+    ):
+        for i in range(1, upto + 1):
+            try:
+                out.append(check(*args, i))
+            except PreconditionError as e:
+                out.append((f"{prefix}{i}", "PreconditionError", str(e)))
+    return out + [check_X(F, t) for t in X_TAGS]
+
+
+def digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# sha256 of every report on the suite and on the loop maps at each class
+# pair, and of the accepted single-position forgeries of the suite's
+# witnesses; both generated by the exhaustive search before the candidate
+# generators became the only statement of each condition's typing.
+REPORTS_DIGEST = "fa56546c59cc74e64d02f6927df51f4476840c17f4b0bd1982867ef3dd6d8600"
+FORGERY_DIGEST = "832d3de5a5c85c411d30ee2074b3dd7fcccd52a3593791a341d19a8a2caea77d"
+
+
+def test_condition_reports_match_the_pinned_digest(suite):
+    instances = [_args(case) for case in suite.values()]
+    for k, d in LOOP_MAPS:
+        F, s_classes, t_classes = loop_map(k, d)
+        instances += [(F, s_classes[a], t_classes[b]) for a, b in LOOP_PAIRS]
+    rows = [
+        dataclasses.astuple(r) if isinstance(r, conditions.ConditionReport) else r
+        for inst in instances
+        for r in condition_reports(*inst)
+    ]
+    assert len(rows) == 17 * len(instances)
+    assert digest(rows) == REPORTS_DIGEST
+
+
+def test_every_single_position_forgery_replays_as_a_bool(suite):
+    accepted, tried = [], 0
+    for case in suite.values():
+        F = case.psfun
+        pool = ["ghost"] + list(dict.fromkeys(
+            x for B in (F.source, F.target)
+            for x in (*B.objects, *(c.id for c in B.one_cells), *(t.id for t in B.two_cells))
+        ))
+        for r in condition_reports(*_args(case)):
+            if not isinstance(r, conditions.ConditionReport) or r.witness is None:
+                continue
+            u, w = r.witness
+            cells = u + w
+            for i in range(len(cells)):
+                for x in pool:
+                    forged = cells[:i] + (x,) + cells[i + 1:]
+                    witness = (forged[:len(u)], forged[len(u):])
+                    ok = recheck_witness(F, dataclasses.replace(r, witness=witness), case.w_src, case.w_tgt)
+                    assert type(ok) is bool, (case.name, r.tag, i, x)
+                    tried += 1
+                    if ok:
+                        accepted.append((case.name, r.tag, i, x))
+    assert tried > 3000
+    assert digest(sorted(accepted)) == FORGERY_DIGEST
 
 
 # -- cross-validation ----------------------------------------------------------
