@@ -13,9 +13,9 @@ entry points, in the order a typical session uses them:
   fractions as explicit tables and the canonical map into it.
 - `PsFun`, `validate_psfun`, `induce_g_tilde`: pseudofunctors and the
   induced map between localizations.
-- `check_A`, `check_B`, `check_EF`, `check_X`, `is_weak_equivalence`,
-  `cross_validate_theorems`: the condition families and their known
-  relationships.
+- `check_family`, `check_A`, `check_B`, `check_EF`, `check_X`,
+  `is_weak_equivalence`, `cross_validate_theorems`: the condition families
+  and their known relationships.
 - `parse_presentation`, `load_document`, `export_presentation`: the JSON
   document format used by the command line.
 """
@@ -46,6 +46,7 @@ from .conditions import (
     check_B,
     check_EF,
     check_X,
+    check_family,
     cross_validate_theorems,
     is_weak_equivalence,
     recheck_witness,

@@ -22,14 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .conditions import (
-    ConditionReport,
-    check_A,
-    check_B,
-    check_EF,
-    check_X,
-    cross_validate_theorems,
-)
+from .conditions import ConditionReport, check_family, cross_validate_theorems
 from .core import PreconditionError, validate_bicat
 from .fractions import LocalizationError, materialize_fractions, universal_pseudofunctor
 from .presentation import (
@@ -164,48 +157,40 @@ def _show_report(r: ConditionReport, out: list[str]) -> None:
 # -- subcommand handlers -------------------------------------------------------
 
 
+def _law_check(what: str, violations: list, text: list[str], sizes: str = "") -> list[dict]:
+    """One side's law check: text lines (20 violations at most) and payload entries."""
+    if not violations:
+        text.append(f"  {what}: all laws hold{sizes}")
+    else:
+        text.append(f"  {what}: {len(violations)} violation(s)")
+        text.extend(f"    {v.law} at {v.cells}: {v.detail}" for v in violations[:20])
+    return [{"law": v.law, "cells": list(v.cells), "detail": v.detail} for v in violations]
+
+
 def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     pres = _load(args.file)
     B = pres.bicat
     rep = validate_bicat(B)
     text = [f"validate {args.file}"]
+    sizes = (f" ({len(B.objects)} objects, {len(B.one_cells)} one-cells, "
+             f"{len(B.two_cells)} two-cells)")
     payload: dict = {
         "command": "validate",
         "file": args.file,
         "passed": rep.passed,
-        "violations": [
-            {"law": v.law, "cells": list(v.cells), "detail": v.detail}
-            for v in rep.violations
-        ],
+        "violations": _law_check("bicategory", rep.violations, text, sizes),
         "strict_flag": rep.strict_flag,
         "components_identity": rep.components_identity,
         "psfuns": {},
     }
-    if rep.passed:
-        text.append(f"  bicategory: all laws hold "
-                    f"({len(B.objects)} objects, {len(B.one_cells)} one-cells, "
-                    f"{len(B.two_cells)} two-cells)")
-    else:
-        text.append(f"  bicategory: {len(rep.violations)} violation(s)")
-        for v in rep.violations[:20]:
-            text.append(f"    {v.law} at {v.cells}: {v.detail}")
     ok = rep.passed
     for name, F in pres.psfuns.items():
         frep = validate_psfun(F)
         payload["psfuns"][name] = {
             "passed": frep.passed,
-            "violations": [
-                {"law": v.law, "cells": list(v.cells), "detail": v.detail}
-                for v in frep.violations
-            ],
+            "violations": _law_check(f"pseudofunctor {name!r}", frep.violations, text),
         }
-        if frep.passed:
-            text.append(f"  pseudofunctor {name!r}: all laws hold")
-        else:
-            ok = False
-            text.append(f"  pseudofunctor {name!r}: {len(frep.violations)} violation(s)")
-            for v in frep.violations[:20]:
-                text.append(f"    {v.law} at {v.cells}: {v.detail}")
+        ok = ok and frep.passed
     text.append("PASS" if ok else "FAIL")
     payload["passed"] = ok
     return (0 if ok else 1), payload, text
@@ -358,33 +343,19 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
     text = [f"check {args.file} --conditions {args.conditions} --psfun {args.psfun}"]
     reports: list[ConditionReport] = []
     for fam in _families(args.conditions):
-        if fam == "A":
-            if w_src is None:
-                raise UsageError("family A needs a source class (--class-src)")
+        w_tgt = None
+        if fam == "X":
+            text.append("  family X:")
+        elif w_src is None:
+            raise UsageError(f"family {fam} needs a source class (--class-src)")
+        elif fam == "A":
             w_tgt = target_class()
             text.append(f"  family A at ({w_src.name}, {w_tgt.name}):")
-            for i in range(1, 6):
-                reports.append(check_A(F, w_src, w_tgt, i))
-                _show_report(reports[-1], text)
-        elif fam == "B":
-            if w_src is None:
-                raise UsageError("family B needs a source class (--class-src)")
-            text.append(f"  family B at {w_src.name}:")
-            for i in range(1, 6):
-                reports.append(check_B(F, w_src, i))
-                _show_report(reports[-1], text)
-        elif fam == "EF":
-            if w_src is None:
-                raise UsageError("family EF needs a source class (--class-src)")
-            text.append(f"  family EF at {w_src.name}:")
-            for i in range(1, 4):
-                reports.append(check_EF(F, w_src, i))
-                _show_report(reports[-1], text)
         else:
-            text.append("  family X:")
-            for tag in ("X1", "X2a", "X2b", "X2c"):
-                reports.append(check_X(F, tag))
-                _show_report(reports[-1], text)
+            text.append(f"  family {fam} at {w_src.name}:")
+        for r in check_family(F, fam, w_src, w_tgt):
+            reports.append(r)
+            _show_report(r, text)
     passed = all(r.holds for r in reports)
     text.append("PASS" if passed else "FAIL")
     payload = {
@@ -437,8 +408,7 @@ def _demo_reports(pres: Presentation) -> dict:
     W = pres.classes["W"]
     out = {"bf": check_bf(B, W)}
     out["UW"] = UW = universal_pseudofunctor(materialize_fractions(B, W))
-    out.update((f"EF{i}", check_EF(UW, W, i)) for i in range(1, 4))
-    out.update((f"B{i}", check_B(UW, W, i)) for i in range(1, 6))
+    out.update((r.tag, r) for fam in ("EF", "B") for r in check_family(UW, fam, W))
     return out
 
 

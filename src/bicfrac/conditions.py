@@ -16,11 +16,17 @@ decided by exhaustive search in table order.  Four families are covered:
 * ``X1``, ``X2a``..``X2c`` define a weak equivalence of bicategories and
   are checked directly on any pseudofunctor.
 
-Each condition but ``EF3`` is stated once, as a `_Problem`: its candidate
-generator decides which tuples are well typed for an input, and its
-``holds`` decides the condition's equation on one of them, so the search
-and `recheck_witness`, which tests a witness's membership among the
-candidates, share one definition.
+Each condition is stated once, as a `_Problem`: its candidate generator
+decides which tuples are well typed for an input, and its ``holds`` decides
+the condition's equation on one of them, so the search and
+`recheck_witness`, which tests a witness's membership among the
+candidates, share one definition.  ``EF3`` is ``X2c``'s search solved only
+by a unique preimage; deciding it reads each whole pool, so that a second
+preimage can be named.
+Each family is stated once as well, in ``_FAMILIES``: its members in order
+and the precondition that guards them all.  `check_family` checks that
+precondition once and decides every member; `check_A`, `check_B`,
+`check_EF` and `check_X` decide one member behind the same precondition.
 Each verdict records canonical evidence: a witness resolving the
 existentials for the hardest universally quantified input, or the first
 input in enumeration order whose search space was exhausted.  The one
@@ -28,13 +34,13 @@ pasting chain among the conditions, ``A5``'s transport of a source 2-cell
 along the comparison data (`a5_composite`), is evaluated by `core`'s table
 lookups.
 ``cross_validate_theorems`` replays the known relationships between the
-families on one concrete instance and reports any disagreement.
+families on one concrete instance, deciding each family at most once, and
+reports any disagreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .core import (
@@ -493,44 +499,6 @@ def _problem_ef2(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
     return _Problem(universals, candidates)
 
 
-def _check_ef3(F: PsFun) -> ConditionReport:
-    """Existence and uniqueness of 2-cell preimages, decided directly."""
-    src, tgt = F.source, F.target
-    worst: Optional[tuple] = None
-    worst_cost = -1
-    total = 0
-    for f1, f2 in _parallel_pairs(src):
-        pool = src.cells2(f1, f2)
-        for al_b in tgt.cells2(F.f1[f1], F.f1[f2]):
-            total += len(pool)
-            hits = [a for a in pool if F.f2[a] == al_b]
-            u = (f1, f2, al_b)
-            if not hits:
-                return ConditionReport(
-                    "EF3", False, None, u, total, "no 2-cell maps onto the target cell"
-                )
-            if len(hits) > 1:
-                return ConditionReport(
-                    "EF3",
-                    False,
-                    None,
-                    u + (hits[0], hits[1]),
-                    total,
-                    "two distinct 2-cells map onto the target cell",
-                )
-            if len(pool) > worst_cost:
-                worst_cost = len(pool)
-                worst = (u, (hits[0],))
-    return ConditionReport("EF3", True, worst, None, total)
-
-
-def _verify_ef3_witness(F: PsFun, u: tuple, w: tuple) -> bool:
-    f1, f2, al_b = u
-    (a,) = w
-    hits = [x for x in F.source.cells2(f1, f2) if F.f2[x] == al_b]
-    return hits == [a]
-
-
 # -- the X family ------------------------------------------------------------
 
 
@@ -610,6 +578,35 @@ def _problem_x2c(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
     return _Problem(universals, candidates, holds)
 
 
+def _problem_ef3(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
+    """X2c's preimage search, solved only by the unique preimage."""
+    x2c = _problem_x2c(F, W_A, W_B)
+
+    def holds(u: tuple, w: tuple) -> bool:
+        return [c for c in x2c.candidates(u) if x2c.holds(u, c)] == [w]
+
+    return _Problem(x2c.universals, x2c.candidates, holds)
+
+
+def _check_ef3(F: PsFun) -> ConditionReport:
+    """X2c's search run to the end of every pool, so that a second preimage is seen."""
+    x2c = _problem_x2c(F, None, None)
+    worst, worst_cost, total = None, -1, 0
+    for u in x2c.universals():
+        pool = list(x2c.candidates(u))
+        total += len(pool)
+        hits = [c for c in pool if x2c.holds(u, c)]
+        if not hits:
+            why = "no 2-cell maps onto the target cell"
+            return ConditionReport("EF3", False, None, u, total, why)
+        if len(hits) > 1:
+            why = "two distinct 2-cells map onto the target cell"
+            return ConditionReport("EF3", False, None, u + hits[0] + hits[1], total, why)
+        if len(pool) > worst_cost:
+            worst, worst_cost = (u, hits[0]), len(pool)
+    return ConditionReport("EF3", True, worst, None, total)
+
+
 _BUILDERS: dict[str, Callable[[PsFun, WClass, WClass], _Problem]] = {
     "A1": _problem_a1,
     "A2": _problem_a2,
@@ -623,6 +620,7 @@ _BUILDERS: dict[str, Callable[[PsFun, WClass, WClass], _Problem]] = {
     "B5": _problem_b5,
     "EF1": _problem_ef1,
     "EF2": _problem_ef2,
+    "EF3": _problem_ef3,
     "X1": _problem_x1,
     "X2a": _problem_x2a,
     "X2b": _problem_x2b,
@@ -633,13 +631,14 @@ _NEEDS_SOURCE_CLASS = {"A1", "A2", "A3", "A4", "A5", "B2", "B4", "B5", "EF2"}
 _NEEDS_TARGET_CLASS = {"A1", "A2", "A3", "A4", "A5"}
 
 
-# -- public checkers ---------------------------------------------------------
+def _report(tag: str, F: PsFun, W_A: Optional[WClass], W_B: Optional[WClass]) -> ConditionReport:
+    """Decide one condition; EF3 alone reads its whole pool, to see a second preimage."""
+    if tag == "EF3":
+        return _check_ef3(F)
+    return _decide(tag, _BUILDERS[tag](F, W_A, W_B))
 
 
-def _pick(prefix: str, which: int, upto: int) -> str:
-    if not isinstance(which, int) or not 1 <= which <= upto:
-        raise ValueError(f"condition index must be 1..{upto}, got {which!r}")
-    return f"{prefix}{which}"
+# -- the families --------------------------------------------------------------
 
 
 def _require_bf(B: FinBicat, W: WClass, side: str) -> None:
@@ -649,14 +648,7 @@ def _require_bf(B: FinBicat, W: WClass, side: str) -> None:
         raise PreconditionError(f"{side} class fails {fail}")
 
 
-def check_A(F: PsFun, W_A: WClass, W_B: WClass, which: int) -> ConditionReport:
-    """Decide one of the five two-sided transfer conditions.
-
-    Preconditions: both classes satisfy the localization axioms and ``F``
-    sends ``W_A`` into the right saturation of ``W_B``; violations raise
-    `PreconditionError`.
-    """
-    tag = _pick("A", which, 5)
+def _precondition_a(F: PsFun, W_A: WClass, W_B: WClass) -> None:
     _require_bf(F.source, W_A, "source")
     _require_bf(F.target, W_B, "target")
     ok, escape = maps_into(F, W_A, saturate(F.target, W_B).members)
@@ -664,43 +656,80 @@ def check_A(F: PsFun, W_A: WClass, W_B: WClass, which: int) -> ConditionReport:
         raise PreconditionError(
             f"image of {escape!r} is outside the saturated target class"
         )
-    return _decide(tag, _BUILDERS[tag](F, W_A, W_B))
 
 
-def check_B(F: PsFun, W_A: WClass, which: int) -> ConditionReport:
-    """Decide one of the five single-class transfer conditions.
-
-    ``F`` must send every member of ``W_A`` to an internal equivalence of
-    the target, and the class must satisfy the localization axioms; either
-    failure raises `PreconditionError`.
-    """
-    tag = _pick("B", which, 5)
+def _precondition_b(F: PsFun, W_A: WClass, W_B: Optional[WClass]) -> None:
     ok, escape = maps_into(F, W_A, internal_equivalences_class(F.target))
     if not ok:
         raise PreconditionError(
             f"image of {escape!r} is not an internal equivalence"
         )
     _require_bf(F.source, W_A, "source")
-    return _decide(tag, _BUILDERS[tag](F, W_A, W_A))
+
+
+# Each family's members in order, and the precondition that guards them all.
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., None]]] = {
+    "A": (("A1", "A2", "A3", "A4", "A5"), _precondition_a),
+    "B": (("B1", "B2", "B3", "B4", "B5"), _precondition_b),
+    "EF": (("EF1", "EF2", "EF3"), lambda F, W_A, W_B: None),
+    "X": (("X1", "X2a", "X2b", "X2c"), lambda F, W_A, W_B: None),
+}
+
+
+def check_family(
+    F: PsFun,
+    family: str,
+    W_A: Optional[WClass] = None,
+    W_B: Optional[WClass] = None,
+) -> tuple[ConditionReport, ...]:
+    """Check a family's precondition once, then decide each member in order.
+
+    ``family`` is ``"A"`` (classes ``W_A`` and ``W_B``), ``"B"`` or ``"EF"``
+    (``W_A`` only) or ``"X"`` (no class).  `PreconditionError` is raised
+    unless, for ``A``, both classes satisfy the localization axioms and ``F``
+    sends ``W_A`` into the right saturation of ``W_B``, and, for ``B``, ``F``
+    sends ``W_A`` to internal equivalences and ``W_A`` satisfies the axioms.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown condition family {family!r}")
+    tags, precondition = _FAMILIES[family]
+    precondition(F, W_A, W_B)
+    return tuple(_report(tag, F, W_A, W_B) for tag in tags)
+
+
+def _check_one(F: PsFun, family: str, which, W_A=None, W_B=None) -> ConditionReport:
+    """`check_family` for the member ``which`` names: an X tag, else an ``int`` index from 1."""
+    tags, precondition = _FAMILIES[family]
+    if family == "X":
+        if which not in tags:
+            raise ValueError(f"unknown condition {which!r}")
+        tag = which
+    elif isinstance(which, bool) or not isinstance(which, int) or not 1 <= which <= len(tags):
+        raise ValueError(f"condition index must be 1..{len(tags)}, got {which!r}")
+    else:
+        tag = tags[which - 1]
+    precondition(F, W_A, W_B)
+    return _report(tag, F, W_A, W_B)
+
+
+def check_A(F: PsFun, W_A: WClass, W_B: WClass, which: int) -> ConditionReport:
+    """Decide one of the five two-sided transfer conditions (see `check_family`)."""
+    return _check_one(F, "A", which, W_A, W_B)
+
+
+def check_B(F: PsFun, W_A: WClass, which: int) -> ConditionReport:
+    """Decide one of the five single-class transfer conditions (see `check_family`)."""
+    return _check_one(F, "B", which, W_A)
 
 
 def check_EF(F: PsFun, W_A: WClass, which: int) -> ConditionReport:
-    """Decide one of the three strict transfer conditions.
-
-    ``W_A`` only parameterizes the second condition's class member; no
-    precondition is enforced beyond structural totality of ``F``.
-    """
-    tag = _pick("EF", which, 3)
-    if tag == "EF3":
-        return _check_ef3(F)
-    return _decide(tag, _BUILDERS[tag](F, W_A, W_A))
+    """Decide one of the three strict transfer conditions; only EF2 reads ``W_A``."""
+    return _check_one(F, "EF", which, W_A)
 
 
 def check_X(M: PsFun, which: str) -> ConditionReport:
     """Decide one defining condition of a weak equivalence of bicategories."""
-    if which not in ("X1", "X2a", "X2b", "X2c"):
-        raise ValueError(f"unknown condition {which!r}")
-    return _decide(which, _BUILDERS[which](M, None, None))
+    return _check_one(M, "X", which)
 
 
 @dataclass(frozen=True)
@@ -717,7 +746,7 @@ class WeakEquivalenceReport:
 
 def is_weak_equivalence(M: PsFun) -> WeakEquivalenceReport:
     """Conjunction of the four weak-equivalence conditions."""
-    reports = tuple(check_X(M, t) for t in ("X1", "X2a", "X2b", "X2c"))
+    reports = check_family(M, "X")
     return WeakEquivalenceReport(all(r.holds for r in reports), reports)
 
 
@@ -738,22 +767,13 @@ def recheck_witness(
     if not report.holds or report.witness is None:
         raise ValueError(f"report for {report.tag} carries no witness")
     u, w = (tuple(cells) for cells in report.witness)  # as read back from JSON too
-    if report.tag == "EF3":
-        replay = partial(_verify_ef3_witness, F)
-    else:
-        if report.tag in _NEEDS_SOURCE_CLASS and W_A is None:
-            raise ValueError(f"{report.tag} needs the source class")
-        if report.tag in _NEEDS_TARGET_CLASS and W_B is None:
-            raise ValueError(f"{report.tag} needs the target class")
-        if report.tag.startswith("B") or report.tag.startswith("EF"):
-            W_B = W_A
-        prob = _BUILDERS[report.tag](F, W_A, W_B)
-
-        def replay(u: tuple, w: tuple) -> bool:
-            return w in prob.candidates(u) and prob.holds(u, w)
-
+    if report.tag in _NEEDS_SOURCE_CLASS and W_A is None:
+        raise ValueError(f"{report.tag} needs the source class")
+    if report.tag in _NEEDS_TARGET_CLASS and W_B is None:
+        raise ValueError(f"{report.tag} needs the target class")
+    prob = _BUILDERS[report.tag](F, W_A, W_B)
     try:
-        return replay(u, w)
+        return w in prob.candidates(u) and prob.holds(u, w)
     except (KeyError, ValueError):  # an unknown cell, a mistyped one, a wrong arity
         return False
 
@@ -797,7 +817,8 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
     single-class counterpart; the strict family implies the single-class
     family; and under the strict hypotheses every 1-cell whose image is an
     internal equivalence admits a factor completing it into the class.
-    Disagreements are reported as findings; skips are not failures.
+    Disagreements are reported as findings; skips are not failures.  Each
+    family is decided at most once per call.
     """
     from .fractions import LocalizationError
 
@@ -810,10 +831,22 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
             findings.append(f"{name}: {reason}")
 
     src, tgt = F.source, F.target
+    decided: dict[str, object] = {}
+
+    def family(fam: str) -> tuple[ConditionReport, ...]:
+        """The family's reports, decided once per call; its failed precondition is raised again."""
+        if fam not in decided:
+            try:
+                decided[fam] = check_family(F, fam, W_A, W_B)
+            except PreconditionError as e:
+                decided[fam] = e
+        if isinstance(decided[fam], PreconditionError):
+            raise decided[fam]
+        return decided[fam]
 
     name = "lift-biconditional"
     try:
-        a_reports = [check_A(F, W_A, W_B, i) for i in range(1, 6)]
+        a_reports = family("A")
         lift = induce_g_tilde(F, W_A, W_B)
     except (PreconditionError, LocalizationError) as e:
         record(name, False, None, f"skipped: {e}")
@@ -832,9 +865,7 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
         record(name, False, None, "skipped: target class is not the quasi-unit class")
     else:
         try:
-            pairs = [
-                (check_A(F, W_A, W_B, i), check_B(F, W_A, i)) for i in range(1, 6)
-            ]
+            pairs = list(zip(family("A"), family("B")))
         except PreconditionError as e:
             record(name, False, None, f"skipped: {e}")
         else:
@@ -849,28 +880,23 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
             else:
                 record(name, True, True, "verdicts agree for all five conditions")
 
-    # The last two sub-checks share their hypotheses: the class lands on
-    # internal equivalences and satisfies the localization axioms.
-    equiv_ok, escape = maps_into(F, W_A, internal_equivalences_class(tgt))
+    # The last two sub-checks share B's precondition as their hypotheses.
     skip = None
-    if not equiv_ok:
-        skip = f"skipped: image of {escape!r} is not an internal equivalence"
-    else:
-        try:
-            _require_bf(src, W_A, "source")
-        except PreconditionError as e:
-            skip = f"skipped: {e}"
+    try:
+        _precondition_b(F, W_A, W_B)
+    except PreconditionError as e:
+        skip = f"skipped: {e}"
 
     name = "strict-family-implication"
     if skip:
         record(name, False, None, skip)
     else:
-        ef = [check_EF(F, W_A, i) for i in range(1, 4)]
+        ef = family("EF")
         if not all(r.holds for r in ef):
             failed = ", ".join(r.tag for r in ef if not r.holds)
             record(name, True, True, f"vacuous: {failed} fails")
         else:
-            b = [check_B(F, W_A, i) for i in range(1, 6)]
+            b = family("B")
             if all(r.holds for r in b):
                 record(name, True, True, "strict family holds and the single-class family follows")
             else:
@@ -878,7 +904,7 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
                 record(name, True, False, f"strict family holds but {failed} fails")
 
     name = "equivalence-reflection"
-    ef23 = () if skip else (check_EF(F, W_A, 2), check_EF(F, W_A, 3))
+    ef23 = () if skip else family("EF")[1:]
     failed = ", ".join(r.tag for r in ef23 if not r.holds)
     if skip:
         record(name, False, None, skip)

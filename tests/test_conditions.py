@@ -122,8 +122,12 @@ def test_check_a_preconditions(toy, classes):
         check_A(F, classes["WnoId"], classes["W"], 1)
     with pytest.raises(PreconditionError, match="saturated target"):
         check_A(F, classes["W"], classes["Wmin"], 1)
-    with pytest.raises(ValueError):
-        check_A(F, classes["W"], classes["W"], 6)
+    for which in (6, 0, True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="condition index"):
+            check_A(F, classes["W"], classes["W"], which)
+    for which in (True, 4):
+        with pytest.raises(ValueError, match="condition index"):
+            check_EF(F, classes["W"], which)
 
 
 # -- the composite that transports a 2-cell along the comparison data ----------
@@ -388,8 +392,9 @@ def test_universal_map_at_minimal_class_is_weak_equivalence(toy, classes):
 
 
 def test_check_x_rejects_unknown_tags(toy):
-    with pytest.raises(ValueError):
-        check_X(identity_psfun(toy), "X3")
+    for which in ("X3", "B1", 1, True):
+        with pytest.raises(ValueError, match="unknown condition"):
+            check_X(identity_psfun(toy), which)
 
 
 def test_mutated_witness_is_rejected(toy, classes):
@@ -447,11 +452,17 @@ REPORTS_DIGEST = "fa56546c59cc74e64d02f6927df51f4476840c17f4b0bd1982867ef3dd6d86
 FORGERY_DIGEST = "832d3de5a5c85c411d30ee2074b3dd7fcccd52a3593791a341d19a8a2caea77d"
 
 
-def test_condition_reports_match_the_pinned_digest(suite):
+def suite_and_loop_instances(suite):
+    """The suite's instances, then each loop map at each class pair: 28 in all."""
     instances = [_args(case) for case in suite.values()]
     for k, d in LOOP_MAPS:
         F, s_classes, t_classes = loop_map(k, d)
         instances += [(F, s_classes[a], t_classes[b]) for a, b in LOOP_PAIRS]
+    return instances
+
+
+def test_condition_reports_match_the_pinned_digest(suite):
+    instances = suite_and_loop_instances(suite)
     rows = [
         dataclasses.astuple(r) if isinstance(r, conditions.ConditionReport) else r
         for inst in instances
@@ -525,3 +536,36 @@ def test_cross_validation_reports_vacuous_implications(suite):
     assert "vacuous" in rep["strict-family-implication"].reason
     rep = cross_validate_theorems(*_args(suite["point-into-discrete2"]))
     assert "EF1" in rep["strict-family-implication"].reason
+
+
+# sha256 of every sub-check (name, ran, agrees, reason) and the findings of
+# `cross_validate_theorems` on the suite and the loop maps at each class
+# pair, generated while each sub-check still decided its own families.
+THEOREMS_DIGEST = "31bad2b3b83aee00c7729d24dd7ee5cd7e0f9cf9bb763502abedef9b2acac107"
+
+
+@pytest.fixture(scope="module")
+def theorem_instances(suite):
+    return suite_and_loop_instances(suite)
+
+
+def test_cross_validation_reports_match_the_pinned_digest(theorem_instances):
+    rows = []
+    for inst in theorem_instances:
+        rep = cross_validate_theorems(*inst)
+        rows.append((tuple(map(dataclasses.astuple, rep.subchecks)), rep.findings))
+    assert len(rows) == 28
+    assert digest(rows) == THEOREMS_DIGEST
+
+
+def test_cross_validation_decides_each_condition_at_most_once(theorem_instances, monkeypatch):
+    decided = []
+    decide, check_ef3 = conditions._decide, conditions._check_ef3
+    monkeypatch.setattr(conditions, "_decide", lambda tag, prob: decided.append(tag) or decide(tag, prob))
+    monkeypatch.setattr(conditions, "_check_ef3", lambda F: decided.append("EF3") or check_ef3(F))
+    for i, inst in enumerate(theorem_instances):
+        decided.clear()
+        cross_validate_theorems(*inst)
+        assert "A1" in decided and "X1" in decided, i
+        twice = sorted({t for t in decided if decided.count(t) > 1})
+        assert not twice, (i, twice)
