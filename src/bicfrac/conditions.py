@@ -62,7 +62,7 @@ from .core import (
     whisker_right,
 )
 from .psfun import PsFun, induce_g_tilde, maps_into
-from .wclass import WClass, bf_report, internal_equivalences_class, quasi_units, saturate
+from .wclass import WClass, check_bf, internal_equivalences_class, quasi_units, saturate
 
 
 # -- reports -----------------------------------------------------------------
@@ -642,7 +642,7 @@ def _report(tag: str, F: PsFun, W_A: Optional[WClass], W_B: Optional[WClass]) ->
 
 
 def _require_bf(B: FinBicat, W: WClass, side: str) -> None:
-    report = bf_report(B, W)
+    report = check_bf(B, W)
     if not report.passed:
         fail = next(v.axiom for v in report.verdicts.values() if not v.holds)
         raise PreconditionError(f"{side} class fails {fail}")
@@ -762,8 +762,10 @@ def recheck_witness(
     generates for its input and solves the condition's equation there.  A
     forged witness, one that names an undeclared cell or a cell of the wrong
     kind anywhere or has the wrong number of cells, is rejected, not raised
-    on.
+    on, and so is a report whose tag names no condition.
     """
+    if not isinstance(report.tag, str) or report.tag not in _BUILDERS:
+        return False
     if not report.holds or report.witness is None:
         raise ValueError(f"report for {report.tag} carries no witness")
     u, w = (tuple(cells) for cells in report.witness)  # as read back from JSON too

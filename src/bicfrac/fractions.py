@@ -63,7 +63,7 @@ from .core import (
     whisker_left,
     whisker_right,
 )
-from .wclass import WClass, bf_report, find_bf3_filler, saturate
+from .wclass import WClass, check_bf, find_bf3_filler, saturate
 
 
 def _restrict(B: FinBicat, b1: str, l1: str, a: str, b2: str, l2: str, z: str) -> str:
@@ -406,7 +406,7 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
     if not base.passed:
         laws = ", ".join(sorted(base.laws_failed()))
         raise PreconditionError(f"base bicategory violates: {laws}")
-    bf = bf_report(B, W)
+    bf = check_bf(B, W)
     if not bf.passed:
         bad = ", ".join(k for k, v in bf.verdicts.items() if not v.holds)
         raise PreconditionError(f"class {W.name or W.members!r} fails {bad}")

@@ -6,18 +6,23 @@ calculus of fractions: identities belong to it, it is closed under
 composition and under invertible 2-cells, every cospan with one leg in the
 class can be squared (BF3), and 2-cells can be pushed across members of the
 class with the usual existence, invertibility and uniqueness-up-to-refinement
-guarantees (BF4).
+guarantees (BF4).  Each axiom is stated once, on one of two quantifiers:
+for every input no fault (BF1, BF2, BF5), or for every input a solution
+(BF3 and BF4's three clauses).  The report is decided once per base and
+member set.
 
 `saturate` computes the right saturation: all 1-cells ``f`` admitting ``g``
 and ``h`` with both ``f∘g`` and ``g∘h`` in the class, each recorded with its
-witness pair.  `quasi_units` collects the endo-1-cells isomorphic to an
-identity; their right saturation is exactly the class of internal
-equivalences, which `internal_equivalences_class` returns directly.
+witness pair, found once per base and member set.  `quasi_units` collects
+the endo-1-cells isomorphic to an identity; their right saturation is
+exactly the class of internal equivalences, which
+`internal_equivalences_class` returns directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Iterable, Optional
 
 from .core import (
@@ -171,6 +176,41 @@ def _bf4c_refinement(
     return None
 
 
+def _no_fault(axiom: str, cases: Iterable[tuple], W: WClass, detail: str) -> AxiomVerdict:
+    """For every case, no fault: each case's last cell lies in ``W``.
+
+    The first case whose last cell does not is the counterexample, and
+    ``detail``, formatted with its cells, says why; ``checked`` counts the
+    cases up to it.
+    """
+    verdict = AxiomVerdict(axiom, True)
+    for case in cases:
+        verdict.checked += 1
+        if case[-1] not in W:
+            verdict.holds, verdict.counterexample, verdict.detail = False, case, detail.format(*case)
+            break
+    return verdict
+
+
+def _solved(axiom: str, cases: Iterable[tuple], detail: str, count_all: bool = False) -> AxiomVerdict:
+    """For every input, a solution: ``cases`` yields ``(input, solution or None)``.
+
+    The witness is the first input's solution and the counterexample the
+    first input with none.  ``checked`` counts the inputs up to it, or every
+    input with ``count_all``.
+    """
+    verdict = AxiomVerdict(axiom, True)
+    for inp, sol in cases:
+        verdict.checked += 1
+        if sol is None and verdict.holds:
+            verdict.holds, verdict.counterexample, verdict.detail = False, inp, detail
+            if not count_all:
+                break
+        elif verdict.checked == 1:
+            verdict.witness = (inp, sol)
+    return verdict
+
+
 def check_bf(B: FinBicat, W: WClass) -> BfReport:
     """Decide each closure axiom for ``W`` by exhaustive search.
 
@@ -178,136 +218,88 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
     sample witness for the existential axioms.  The coherence laws of ``B``
     are not checked here: the verdicts presume a lawful base, which
     `validate_bicat` decides.
+
+    The report is decided once per base and member set and kept in ``B``'s
+    cache, which is sound because no table of a finished bicategory is
+    written again.  It is shared by every caller, so it must be read, never
+    modified.
     """
-    verdicts: dict[str, AxiomVerdict] = {}
+    key = ("bf", W.members)
+    if key in B._cache:
+        return B._cache[key]
+    members = sorted_members(B, W)
+    bf1 = _no_fault(
+        "BF1", ((A, B.id1[A]) for A in B.objects), W, "identity of {0!r} not in class"
+    )
+    bf2 = _no_fault(
+        "BF2",
+        (
+            (w2, w1.id, B.hcomp1[(w2, w1.id)])
+            for w2 in members for w1 in B.into1(B.one(w2).src) if w1.id in W
+        ),
+        W, "composite {2!r} escapes the class",
+    )
+    bf3 = _solved(
+        "BF3",
+        (((w, f.id), find_bf3_filler(B, W, w, f.id)) for w in members for f in B.into1(B.one(w).tgt)),
+        "no invertible square over the cospan",
+    )
 
-    v1 = AxiomVerdict("BF1", True)
-    for A in B.objects:
-        v1.checked += 1
-        if B.id1[A] not in W:
-            v1.holds = False
-            v1.counterexample = (A, B.id1[A])
-            v1.detail = f"identity of {A!r} not in class"
-            break
-    verdicts["BF1"] = v1
-
-    v2 = AxiomVerdict("BF2", True)
-    for w2 in sorted_members(B, W):
-        for w1 in (c.id for c in B.into1(B.one(w2).src) if c.id in W):
-            v2.checked += 1
-            comp = B.hcomp1[(w2, w1)]
-            if comp not in W:
-                v2.holds = False
-                v2.counterexample = (w2, w1, comp)
-                v2.detail = f"composite {comp!r} escapes the class"
-                break
-        if not v2.holds:
-            break
-    verdicts["BF2"] = v2
-
-    v3 = AxiomVerdict("BF3", True)
-    for w in sorted_members(B, W):
-        for f in B.into1(B.one(w).tgt):
-            v3.checked += 1
-            filler = find_bf3_filler(B, W, w, f.id)
-            if filler is None:
-                v3.holds = False
-                v3.counterexample = (w, f.id)
-                v3.detail = "no invertible square over the cospan"
-                break
-            if v3.witness is None:
-                v3.witness = ((w, f.id), filler)
-        if not v3.holds:
-            break
-    verdicts["BF3"] = v3
-
-    ca = AxiomVerdict("BF4:a", True)
-    cb = AxiomVerdict("BF4:b", True)
-    cc = AxiomVerdict("BF4:c", True)
-    for w in sorted_members(B, W):
-        for fc in B.into1(B.one(w).src):
-            f = fc.id
-            for g in B.hom1(fc.src, fc.tgt):
-                wf = B.hcomp1[(w, f)]
-                wg = B.hcomp1[(w, g)]
-                for alpha in B.cells2(wf, wg):
-                    sols = _bf4_solutions(B, W, w, f, g, alpha)
-                    ca.checked += 1
-                    if ca.holds:
-                        if not sols:
-                            ca.holds = False
-                            ca.counterexample = (w, f, g, alpha)
-                            ca.detail = "no class member transfers the 2-cell"
-                        elif ca.witness is None:
-                            ca.witness = ((w, f, g, alpha), sols[0])
-                    if two_cell_inverse(B, alpha) is not None:
-                        cb.checked += 1
-                        if cb.holds:
-                            inv_sols = [
-                                s for s in sols if two_cell_inverse(B, s[2]) is not None
-                            ]
-                            if not inv_sols:
-                                cb.holds = False
-                                cb.counterexample = (w, f, g, alpha)
-                                cb.detail = "no invertible transfer for invertible input"
-                            elif cb.witness is None:
-                                cb.witness = ((w, f, g, alpha), inv_sols[0])
-                    if cc.holds:
-                        for i, s1 in enumerate(sols):
-                            for s2 in sols[i:]:
-                                cc.checked += 1
-                                ref = _bf4c_refinement(B, W, f, g, s1, s2)
-                                if ref is None:
-                                    cc.holds = False
-                                    cc.counterexample = (w, f, g, alpha, s1, s2)
-                                    cc.detail = "two transfers admit no common refinement"
-                                    break
-                                if cc.witness is None:
-                                    cc.witness = ((w, f, g, alpha, s1, s2), ref)
-                            if not cc.holds:
-                                break
-
-    v4 = AxiomVerdict(
+    # BF4's inputs ``(w, f, g, alpha)`` with their transfers feed all three clauses.
+    transfers = [
+        ((w, f.id, g, alpha), _bf4_solutions(B, W, w, f.id, g, alpha))
+        for w in members
+        for f in B.into1(B.one(w).src)
+        for g in B.hom1(f.src, f.tgt)
+        for alpha in B.cells2(B.hcomp1[(w, f.id)], B.hcomp1[(w, g)])
+    ]
+    ca = _solved(
+        "BF4:a", ((x, sols[0] if sols else None) for x, sols in transfers),
+        "no class member transfers the 2-cell", count_all=True,
+    )
+    cb = _solved(
+        "BF4:b",
+        (
+            (x, next((s for s in sols if two_cell_inverse(B, s[2]) is not None), None))
+            for x, sols in transfers if two_cell_inverse(B, x[3]) is not None
+        ),
+        "no invertible transfer for invertible input", count_all=True,
+    )
+    # A refinement reads nothing but its arguments, so each is decided once.
+    refine = cache(partial(_bf4c_refinement, B, W))
+    cc = _solved(
+        "BF4:c",
+        (
+            (x + (s1, s2), refine(x[1], x[2], s1, s2))
+            for x, sols in transfers for i, s1 in enumerate(sols) for s2 in sols[i:]
+        ),
+        "two transfers admit no common refinement",
+    )
+    bf4 = AxiomVerdict(
         "BF4",
         ca.holds and cb.holds and cc.holds,
         clauses={"a": ca, "b": cb, "c": cc},
         checked=ca.checked,
     )
-    if not v4.holds:
+    if not bf4.holds:
         first_bad = next(c for c in (ca, cb, cc) if not c.holds)
-        v4.counterexample = first_bad.counterexample
-        v4.detail = f"clause {first_bad.axiom.split(':')[1]}: {first_bad.detail}"
-    verdicts["BF4"] = v4
+        bf4.counterexample = first_bad.counterexample
+        bf4.detail = f"clause {first_bad.axiom.split(':')[1]}: {first_bad.detail}"
 
-    v5 = AxiomVerdict("BF5", True)
-    for w in sorted_members(B, W):
-        # By target 1-cell, then in declaration order (the sort is stable).
-        for alpha in sorted(B.from2(w), key=lambda t: B.pos1(t.tgt)):
-            if two_cell_inverse(B, alpha.id) is None:
-                continue
-            v5.checked += 1
-            if alpha.tgt not in W:
-                v5.holds = False
-                v5.counterexample = (w, alpha.id, alpha.tgt)
-                v5.detail = f"isomorphic 1-cell {alpha.tgt!r} escapes the class"
-                break
-        if not v5.holds:
-            break
-    verdicts["BF5"] = v5
+    bf5 = _no_fault(
+        "BF5",
+        (
+            (w, alpha.id, alpha.tgt)
+            for w in members
+            # By target 1-cell, then in declaration order (the sort is stable).
+            for alpha in sorted(B.from2(w), key=lambda t: B.pos1(t.tgt))
+            if two_cell_inverse(B, alpha.id) is not None
+        ),
+        W, "isomorphic 1-cell {2!r} escapes the class",
+    )
 
-    return BfReport(all(v.holds for v in verdicts.values()), verdicts)
-
-
-def bf_report(B: FinBicat, W: WClass) -> BfReport:
-    """`check_bf` of ``W``, decided once per base and member set.
-
-    The report is kept in ``B``'s cache, which is sound because no table of
-    a finished bicategory is written again.  It is shared by every caller,
-    so it must be read, never modified.
-    """
-    key = ("bf", W.members)
-    if key not in B._cache:
-        B._cache[key] = check_bf(B, W)
+    verdicts = {v.axiom: v for v in (bf1, bf2, bf3, bf4, bf5)}
+    B._cache[key] = BfReport(all(v.holds for v in verdicts.values()), verdicts)
     return B._cache[key]
 
 
@@ -325,22 +317,27 @@ def saturate(B: FinBicat, W: WClass) -> SaturationResult:
     order.  Members of ``W`` itself are re-derived, not copied, so a class
     that is not saturated in the formal sense would be reported faithfully;
     for classes containing the identities every member witnesses itself.
+    The pairs are found once per base and member set and kept in ``B``'s
+    cache; each result is named after its own ``W``.
     """
+    key = ("saturation", W.members)
+    if key not in B._cache:
+        B._cache[key] = _saturation_witnesses(B, W)
+    found = B._cache[key]
+    name = f"sat({W.name})" if W.name else "sat"
+    return SaturationResult(WClass(frozenset(found), name), dict(found))
+
+
+def _saturation_witnesses(B: FinBicat, W: WClass) -> dict[str, tuple[str, str]]:
     found: dict[str, tuple[str, str]] = {}
     for f in B.one_cells:
         for g in B.into1(f.src):
-            if B.hcomp1[(f.id, g.id)] not in W:
-                continue
-            hit = None
-            for h in B.into1(g.src):
-                if B.hcomp1[(g.id, h.id)] in W:
-                    hit = h.id
+            if B.hcomp1[(f.id, g.id)] in W:
+                h = next((h.id for h in B.into1(g.src) if B.hcomp1[(g.id, h.id)] in W), None)
+                if h is not None:
+                    found[f.id] = (g.id, h)
                     break
-            if hit is not None:
-                found[f.id] = (g.id, hit)
-                break
-    name = f"sat({W.name})" if W.name else "sat"
-    return SaturationResult(WClass(frozenset(found), name), found)
+    return found
 
 
 def is_saturated(B: FinBicat, W: WClass) -> bool:

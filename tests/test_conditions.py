@@ -410,6 +410,9 @@ def test_mutated_witness_is_rejected(toy, classes):
             assert recheck_witness(F, forged, classes["W"], classes["W"]) is False, (rep.tag, bad)
         as_json = dataclasses.replace(rep, witness=[list(u), list(w)])
         assert recheck_witness(F, as_json, classes["W"], classes["W"]) is True, rep.tag
+        for tag in ("Z9", 1, ["A1"]):
+            forged = dataclasses.replace(rep, tag=tag)
+            assert recheck_witness(F, forged, classes["W"], classes["W"]) is False, tag
     vacuous = type(r)("A1", True, None, None, 0)
     with pytest.raises(ValueError):
         recheck_witness(F, vacuous, classes["W"], classes["W"])
