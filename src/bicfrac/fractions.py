@@ -28,9 +28,11 @@ whiskered cells and vertical composites.  They are evaluated by direct table
 lookups (`core.assoc_cell`, `core.vfold` and their siblings), each of which
 checks that its factor is well typed.  Factors that do not depend on the
 innermost candidates, such as a representative's 2-cell restricted along a
-refinement leg, are evaluated once per search, at the first candidate that
-needs them, so an input raises where it raised when every candidate
-evaluated its whole chain.
+refinement leg, are evaluated at the first candidate that needs them, so an
+input raises where it raised when every candidate evaluated its whole chain.
+Each side of the witness search's equation depends on one representative
+and is evaluated once per build, shared by every pair of every frame; the
+other searches' factors are evaluated once per search.
 """
 
 from __future__ import annotations
@@ -82,11 +84,11 @@ class _Memo(dict):
     took 0-50% longer in five alternating runs of each.
     """
 
-    def __init__(self, compute: Callable[[str], str]):
+    def __init__(self, compute: Callable):
         super().__init__()
         self.compute = compute
 
-    def __missing__(self, key: str) -> str:
+    def __missing__(self, key):
         value = self[key] = self.compute(key)
         return value
 
@@ -187,6 +189,28 @@ def enumerate_reps(B: FinBicat, W: WClass, S1: Span, S2: Span) -> list[TwoCellRe
     return out
 
 
+def _search_sides(B: FinBicat) -> _Memo:
+    """The sides of the identification equation, each evaluated once.
+
+    A side reads nothing but B's tables and a representative's data over a
+    leg pair, ``key = (back1, leg1, a, back2, leg2)``; ``sides[key]`` is the
+    pair ``(lhs, rhs)`` with ``lhs[z][zeta2]`` the left side
+    ``a|z ⊙ (back2 ∗ zeta2)`` and ``rhs[zp][zeta1]`` the right side
+    ``(back1 ∗ zeta1) ⊙ a|zp``, where ``a|z`` is ``a`` restricted along
+    ``z`` (`_restrict`), shared by both.  One memo serves every search of a
+    build, whatever their order.
+    """
+
+    def sides(key: tuple[str, str, str, str, str]):
+        back1, _, _, back2, _ = key
+        restricted = _Memo(lambda z: _restrict(B, *key, z))
+        lhs = _Memo(lambda z: _Memo(lambda zeta2: vfold(B, restricted[z], whisker_left(B, back2, zeta2))))
+        rhs = _Memo(lambda zp: _Memo(lambda zeta1: vfold(B, whisker_left(B, back1, zeta1), restricted[zp])))
+        return lhs, rhs
+
+    return _Memo(sides)
+
+
 def rep_equivalence_witness(
     B: FinBicat, W: WClass, S1: Span, S2: Span, r1: TwoCellRep, r2: TwoCellRep
 ) -> Optional[tuple[str, str, str, str, str]]:
@@ -200,22 +224,25 @@ def rep_equivalence_witness(
     Over a leg pair ``(back1, back2)`` the data agree when
     ``a1z ⊙ (back2 ∗ zeta2) == (back1 ∗ zeta1) ⊙ a2zp``, where ``a1z`` and
     ``a2zp`` are the reps' 2-cells restricted along ``z`` and ``zp``
-    (`_restrict`).  The left side depends on ``(z, zeta2)`` only and the
-    right side on ``(zp, zeta1)`` only, so each is computed once per search,
-    at its first use, and a candidate pair costs two comparisons.
+    (`_restrict`).  The left side depends on ``r1``'s data, ``z`` and
+    ``zeta2`` only and the right side on ``r2``'s data, ``zp`` and ``zeta1``
+    only (`_search_sides`), so each is computed once per build, at its first
+    use, and a candidate pair costs two comparisons.  A materialization
+    shares one memo among all its searches; a call of this function has a
+    memo of its own.
     """
+    return _rep_witness(B, W, S1, S2, r1, r2, _search_sides(B))
+
+
+def _rep_witness(
+    B: FinBicat, W: WClass, S1: Span, S2: Span, r1: TwoCellRep, r2: TwoCellRep, sides: _Memo
+) -> Optional[tuple[str, str, str, str, str]]:
+    """`rep_equivalence_witness` reading its sides from the shared ``sides``."""
     w1, w2, f1, f2 = S1.back, S2.back, S1.forward, S2.forward
-
-    def routes(back1: str, back2: str, c1: str, c2: str):
-        """The left side by ``z`` then ``zeta2``, the right side by ``zp`` then ``zeta1``."""
-        r1z = _Memo(lambda z: _restrict(B, back1, r1.leg1, c1, back2, r1.leg2, z))
-        r2zp = _Memo(lambda zp: _restrict(B, back1, r2.leg1, c2, back2, r2.leg2, zp))
-        lhs = _Memo(lambda z: _Memo(lambda zeta2: vfold(B, r1z[z], whisker_left(B, back2, zeta2))))
-        rhs = _Memo(lambda zp: _Memo(lambda zeta1: vfold(B, whisker_left(B, back1, zeta1), r2zp[zp])))
-        return lhs, rhs
-
-    back_lhs, back_rhs = routes(w1, w2, r1.alpha, r2.alpha)
-    fwd_lhs, fwd_rhs = routes(f1, f2, r1.beta, r2.beta)
+    back_lhs = sides[(w1, r1.leg1, r1.alpha, w2, r1.leg2)][0]
+    back_rhs = sides[(w1, r2.leg1, r2.alpha, w2, r2.leg2)][1]
+    fwd_lhs = sides[(f1, r1.leg1, r1.beta, f2, r1.leg2)][0]
+    fwd_rhs = sides[(f1, r2.leg1, r2.beta, f2, r2.leg2)][1]
     w1l1 = B.hcomp1[(w1, r1.leg1)]
     for E in B.objects:
         for z in B.hom1(E, r1.apex):
@@ -431,6 +458,7 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
     classes: dict[str, TwoCellClass] = {}
     rep_to_class: dict[tuple[str, str], dict[TwoCellRep, str]] = {}
     two_cells: list[TwoCell] = []
+    sides = _search_sides(B)
     for s1, s2 in frames:
         key = (s1.id, s2.id)
         reps = sorted(enumerate_reps(B, W, s1, s2), key=lambda r: rep_sort_key(B, r))
@@ -439,7 +467,7 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
             for j in range(i + 1, len(reps)):
                 if uf.find(i) == uf.find(j):
                     continue
-                if reps_equivalent(B, W, s1, s2, reps[i], reps[j]):
+                if _rep_witness(B, W, s1, s2, reps[i], reps[j], sides) is not None:
                     uf.union(i, j)
         groups: dict[int, list[TwoCellRep]] = {}
         for i, r in enumerate(reps):

@@ -9,7 +9,11 @@ class with the usual existence, invertibility and uniqueness-up-to-refinement
 guarantees (BF4).  Each axiom is stated once, on one of two quantifiers:
 for every input no fault (BF1, BF2, BF5), or for every input a solution
 (BF3 and BF4's three clauses).  The report is decided once per base and
-member set.
+member set.  BF4's transfer and refinement equations each compare two
+composites of one frame; when that frame holds a single 2-cell the two are
+equal and neither is composed.  That one-cell-frame rule presumes total,
+well-typed tables, which `core.structural_violations` guarantees for every
+parsed or built bicategory.
 
 `saturate` computes the right saturation: all 1-cells ``f`` admitting ``g``
 and ``h`` with both ``f∘g`` and ``g∘h`` in the class, each recorded with its
@@ -110,61 +114,98 @@ def find_bf3_filler(
     return None
 
 
-def _bf4_equation_holds(
-    B: FinBicat, w: str, f: str, g: str, alpha: str, v: str, beta: str
-) -> bool:
-    theta_f_inv = two_cell_inverse(B, B.assoc[(w, f, v)])
-    if theta_f_inv is None:
-        return False
-    rhs = vcompose_all(
-        B, [theta_f_inv, whisker_left(B, w, beta), B.assoc[(w, g, v)]]
-    )
-    return whisker_right(B, alpha, v) == rhs
+def _one_cell(B: FinBicat, src: str, tgt: str) -> bool:
+    """Whether the frame ``src ⇒ tgt`` holds one 2-cell, which any two composites in it then are."""
+    return len(B.cells2(src, tgt)) == 1
+
+
+def _bf4_candidates(B: FinBicat, W: WClass, f: str, g: str) -> list[tuple[str, str, list[str]]]:
+    """The ``(D, v, betas)`` a BF4 transfer into ``f, g`` draws on.
+
+    ``v: D→src(f)`` lies in ``W`` and ``betas`` are the 2-cells
+    ``f∘v ⇒ g∘v``, in declaration order.
+    """
+    C = B.one(f).src
+    return [
+        (D, v, B.cells2(B.hcomp1[(f, v)], B.hcomp1[(g, v)]))
+        for D in B.objects
+        for v in B.hom1(D, C) if v in W
+    ]
 
 
 def _bf4_solutions(
-    B: FinBicat, W: WClass, w: str, f: str, g: str, alpha: str
-) -> list[tuple[str, str, str]]:
-    """All ``(D, v, beta)`` solving the BF4 transfer for ``alpha: w∘f ⇒ w∘g``."""
-    C = B.one(f).src
+    B: FinBicat, w: str, f: str, g: str, alpha: str, candidates: list[tuple[str, str, list[str]]]
+) -> tuple[tuple[str, str, str], ...]:
+    """All ``(D, v, beta)`` solving the BF4 transfer for ``alpha: w∘f ⇒ w∘g``.
+
+    The transfer equation ``alpha ∗ v == θ⁻¹ ⊙ (w ∗ beta) ⊙ θ'``, with
+    ``θ`` and ``θ'`` the associators at ``(w, f, v)`` and ``(w, g, v)``,
+    needs ``θ`` invertible.  Both its sides lie in the frame
+    ``(w∘f)∘v ⇒ (w∘g)∘v``, so when that holds one cell (`_one_cell`) every
+    ``beta`` solves it.
+    """
+    H = B.hcomp1
+    wf, wg = H[(w, f)], H[(w, g)]
     out = []
-    for D in B.objects:
-        for v in B.hom1(D, C):
-            if v not in W:
-                continue
-            fv = B.hcomp1[(f, v)]
-            gv = B.hcomp1[(g, v)]
-            for beta in B.cells2(fv, gv):
-                if _bf4_equation_holds(B, w, f, g, alpha, v, beta):
-                    out.append((D, v, beta))
-    return out
+    for D, v, betas in candidates:
+        if not betas:
+            continue
+        theta_f_inv = two_cell_inverse(B, B.assoc[(w, f, v)])
+        if theta_f_inv is None:
+            continue
+        if _one_cell(B, H[(wf, v)], H[(wg, v)]):
+            out += [(D, v, beta) for beta in betas]
+            continue
+        lhs = whisker_right(B, alpha, v)
+        theta_g = B.assoc[(w, g, v)]
+        out += [
+            (D, v, beta) for beta in betas
+            if vcompose_all(B, [theta_f_inv, whisker_left(B, w, beta), theta_g]) == lhs
+        ]
+    return tuple(out)
 
 
 def _bf4c_refinement(
     B: FinBicat, W: WClass, f: str, g: str,
     sol1: tuple[str, str, str], sol2: tuple[str, str, str],
 ) -> Optional[tuple[str, str, str, str]]:
-    """Least ``(E, u, u2, zeta)`` reconciling two BF4 solutions, or None."""
+    """Least ``(E, u, u2, zeta)`` reconciling two BF4 solutions, or None.
+
+    The refinement equation
+    ``θ ⊙ (b1 ∗ u) ⊙ θ_g⁻¹ ⊙ (g ∗ zeta) == (f ∗ zeta) ⊙ θ' ⊙ (b2 ∗ u2) ⊙ θ_g'⁻¹``
+    needs the associators ``θ_g`` at ``(g, v1, u)`` and ``θ_g'`` at
+    ``(g, v2, u2)`` invertible.  Both its sides lie in the frame
+    ``f∘(v1∘u) ⇒ g∘(v2∘u2)``: when that holds one cell (`_one_cell`) any
+    ``zeta`` solves it.  Otherwise the left side's first three factors,
+    which depend on ``u`` only, are composed once per ``u``.
+    """
     D1, v1, b1 = sol1
     D2, v2, b2 = sol2
+    H = B.hcomp1
     for E in B.objects:
         for u in B.hom1(E, D1):
-            vu = B.hcomp1[(v1, u)]
+            vu = H[(v1, u)]
             if vu not in W:
                 continue
+            th_g_inv = two_cell_inverse(B, B.assoc[(g, v1, u)])
+            if th_g_inv is None:
+                continue
+            f_vu = H[(f, vu)]
+            prefix = None
             for u2 in B.hom1(E, D2):
-                v2u2 = B.hcomp1[(v2, u2)]
-                for zeta in inv_cells2(B, vu, v2u2):
-                    th_g_inv = two_cell_inverse(B, B.assoc[(g, v1, u)])
-                    th_g2_inv = two_cell_inverse(B, B.assoc[(g, v2, u2)])
-                    if th_g_inv is None or th_g2_inv is None:
-                        continue
-                    lhs = vcompose_all(B, [
-                        B.assoc[(f, v1, u)],
-                        whisker_right(B, b1, u),
-                        th_g_inv,
-                        whisker_left(B, g, zeta),
-                    ])
+                v2u2 = H[(v2, u2)]
+                zetas = inv_cells2(B, vu, v2u2)
+                if not zetas:
+                    continue
+                th_g2_inv = two_cell_inverse(B, B.assoc[(g, v2, u2)])
+                if th_g2_inv is None:
+                    continue
+                if _one_cell(B, f_vu, H[(g, v2u2)]):
+                    return (E, u, u2, zetas[0])
+                if prefix is None:
+                    prefix = vcompose_all(B, [B.assoc[(f, v1, u)], whisker_right(B, b1, u), th_g_inv])
+                for zeta in zetas:
+                    lhs = vcompose_all(B, [prefix, whisker_left(B, g, zeta)])
                     rhs = vcompose_all(B, [
                         whisker_left(B, f, zeta),
                         B.assoc[(f, v2, u2)],
@@ -211,13 +252,48 @@ def _solved(axiom: str, cases: Iterable[tuple], detail: str, count_all: bool = F
     return verdict
 
 
+def _refined(B: FinBicat, W: WClass, transfers: list[tuple[tuple, tuple]]) -> AxiomVerdict:
+    """BF4's clause c: every two transfers of one input have a common refinement.
+
+    `_solved` over the pairs ``(s1, s2)`` of each input's transfers, ``s1``
+    at or before ``s2``.  Those pairs and their refinements depend only on
+    ``(f, g, sols)``, so each such block is decided once, by `_solved`
+    over its own pairs, and folded into the clause: ``checked`` adds up,
+    the witness is the first pair's refinement, and the counterexample is
+    the first pair without one.  Each distinct refinement is decided once.
+    """
+    refine = cache(partial(_bf4c_refinement, B, W))
+    detail = "two transfers admit no common refinement"
+
+    @cache
+    def block(f: str, g: str, sols: tuple) -> AxiomVerdict:
+        pairs = ((s1, s2) for i, s1 in enumerate(sols) for s2 in sols[i:])
+        return _solved("BF4:c", ((pair, refine(f, g, *pair)) for pair in pairs), detail)
+
+    verdict = AxiomVerdict("BF4:c", True)
+    for x, sols in transfers:
+        run = block(x[1], x[2], sols)
+        if verdict.checked == 0 and run.witness is not None:
+            pair, sol = run.witness
+            verdict.witness = (x + pair, sol)
+        verdict.checked += run.checked
+        if not run.holds:
+            verdict.holds, verdict.counterexample, verdict.detail = False, x + run.counterexample, detail
+            break
+    return verdict
+
+
 def check_bf(B: FinBicat, W: WClass) -> BfReport:
     """Decide each closure axiom for ``W`` by exhaustive search.
 
     Verdicts record the first counterexample in declaration order, or a
     sample witness for the existential axioms.  The coherence laws of ``B``
     are not checked here: the verdicts presume a lawful base, which
-    `validate_bicat` decides.
+    `validate_bicat` decides.  A BF4 equation whose two sides lie in a
+    frame holding one 2-cell holds without composing either side; this
+    presumes total, well-typed tables (`core.structural_violations`).  The
+    transfers' candidates are found once per ``(f, g)``, and clause c is
+    decided once per block of pairs (`_refined`).
 
     The report is decided once per base and member set and kept in ``B``'s
     cache, which is sound because no table of a finished bicategory is
@@ -245,9 +321,11 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
         "no invertible square over the cospan",
     )
 
-    # BF4's inputs ``(w, f, g, alpha)`` with their transfers feed all three clauses.
+    # BF4's inputs ``(w, f, g, alpha)`` with their transfers feed all three
+    # clauses; the transfers' candidates depend on ``(f, g)`` only.
+    candidates = cache(partial(_bf4_candidates, B, W))
     transfers = [
-        ((w, f.id, g, alpha), _bf4_solutions(B, W, w, f.id, g, alpha))
+        ((w, f.id, g, alpha), _bf4_solutions(B, w, f.id, g, alpha, candidates(f.id, g)))
         for w in members
         for f in B.into1(B.one(w).src)
         for g in B.hom1(f.src, f.tgt)
@@ -265,16 +343,7 @@ def check_bf(B: FinBicat, W: WClass) -> BfReport:
         ),
         "no invertible transfer for invertible input", count_all=True,
     )
-    # A refinement reads nothing but its arguments, so each is decided once.
-    refine = cache(partial(_bf4c_refinement, B, W))
-    cc = _solved(
-        "BF4:c",
-        (
-            (x + (s1, s2), refine(x[1], x[2], s1, s2))
-            for x, sols in transfers for i, s1 in enumerate(sols) for s2 in sols[i:]
-        ),
-        "two transfers admit no common refinement",
-    )
+    cc = _refined(B, W, transfers)
     bf4 = AxiomVerdict(
         "BF4",
         ca.holds and cb.holds and cc.holds,

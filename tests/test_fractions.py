@@ -35,6 +35,7 @@ from bicfrac.fractions import (
     enumerate_spans,
     materialize_fractions,
     rep_equivalence_witness,
+    rep_sort_key,
     reps_equivalent,
     span_is_equivalence,
     universal_pseudofunctor,
@@ -368,6 +369,56 @@ def test_witness_search_matches_the_reference_on_generated_instances(family, siz
     for label, B, W in generated_classes(family, size):
         pairs, _ = assert_reference_witnesses(B, W)
         assert pairs > 0, label
+
+
+def test_each_side_of_the_witness_search_is_evaluated_once_per_build(monkeypatch):
+    (_, B, W), = [c for c in generated_classes("cyclic_loop", 5) if c[0].endswith(":Wmin")]
+    calls = []
+    real = fractions._restrict
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(fractions, "_restrict", counted)
+    materialize_fractions(B, W, validate=False)
+    # The witness searches restrict along 5 distinct keys, each once; the
+    # composition and whiskering searches, which stop at their first
+    # candidate, make the other 140 calls (1,220 when each witness search
+    # evaluated its own sides).
+    assert (len(calls), len(set(calls))) == (145, 5)
+
+
+def shared_memo_cases():
+    """`cyclic_loop(3..5)` at ``Wmin`` and ``W``, and the toy at ``Wmin``."""
+    cases = [
+        case for k in (3, 4, 5) for case in generated_classes("cyclic_loop", k)
+        if case[0].endswith((":Wmin", ":W"))
+    ]
+    toy = appendix_toy()
+    return cases + [("toy:Wmin", toy, toy_classes(toy)["Wmin"])]
+
+
+def test_a_shared_memo_gives_the_reference_witnesses_in_either_order():
+    """One memo per localization, as in a build; the pairs in union-find order, then reversed."""
+    witnessed = []
+    for label, B, W in shared_memo_cases():
+        spans = enumerate_spans(B, W)
+        pairs = [
+            (S1, S2, r1, r2)
+            for S1 in spans
+            for S2 in spans if (S1.src_obj(B), S1.tgt_obj(B)) == (S2.src_obj(B), S2.tgt_obj(B))
+            for reps in [sorted(enumerate_reps(B, W, S1, S2), key=lambda r: rep_sort_key(B, r))]
+            for r1 in reps
+            for r2 in reps
+        ]
+        want = [reference_rep_equivalence_witness(B, W, *pair) for pair in pairs]
+        witnessed += [w is not None for w in want]
+        for order in (pairs, pairs[::-1]):
+            sides = fractions._search_sides(B)
+            got = {pair: fractions._rep_witness(B, W, *pair, sides) for pair in order}
+            assert [got[pair] for pair in pairs] == want, label
+    assert any(witnessed) and not all(witnessed)
 
 
 def pinned_classes():

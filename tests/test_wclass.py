@@ -127,6 +127,14 @@ def test_each_refinement_is_decided_once_per_report(monkeypatch):
     assert len(calls) == len({args[2:] for args in calls}) == 447
 
 
+def test_a_thin_base_composes_no_bf4_equation(monkeypatch):
+    L = chain_localization(4)
+    composed = count_calls(monkeypatch, "vcompose_all")
+    report = check_bf(L, WClass(frozenset(c.id for c in L.one_cells), "all"))
+    assert report.passed and report["BF4"].clauses["c"].checked == 27474
+    assert composed == []
+
+
 def test_each_saturation_is_computed_once_per_member_set(toy, classes, monkeypatch):
     calls = count_calls(monkeypatch, "_saturation_witnesses")
     Wmin = classes["Wmin"]
@@ -190,6 +198,23 @@ def bf_cases():
 # every verdict, witness, counterexample, detail, count and clause.
 BF_CASES = 664
 BF_REPORTS_DIGEST = "95dcc73ec1d40ad6a93a6ae850577ef0e22cf444929a656d95435126ec13a441"
+
+
+def test_the_pinned_reports_decide_bf4_equations_both_ways(monkeypatch):
+    """Some BF4 equations fall to the one-cell-frame rule and some are composed."""
+    frames = {True: 0, False: 0}
+    real = wclass._one_cell
+
+    def counted(*args):
+        one = real(*args)
+        frames[one] += 1
+        return one
+
+    monkeypatch.setattr(wclass, "_one_cell", counted)
+    composed = count_calls(monkeypatch, "vcompose_all")
+    for B, W in bf_cases():
+        check_bf(B, W)
+    assert frames[True] > 0 and frames[False] > 0 and len(composed) > 0
 
 
 def test_closure_axiom_reports_match_the_pinned_digest():
