@@ -8,7 +8,9 @@ runs the law checker, ``check-bf`` and ``saturate`` work on a named
 ``demo appendix-toy`` walks the shipped two-object example end to end.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 for usage or document errors, 3 when a precondition is violated.
+2 for usage or document errors, 3 when a precondition is violated.  A
+reader that closes the output early (``| head``) ends the command with exit
+code 1 and nothing on stderr.
 Reports are plain text by default; ``--format machine`` emits one JSON
 object mirroring the report dataclasses.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -505,4 +508,12 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone; as Python's `signal` docs advise, point stdout
+        # at devnull so the interpreter's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

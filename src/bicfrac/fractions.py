@@ -13,10 +13,11 @@ class; only frames with several classes are searched.
 
 The decision procedure for 2-cells is `reps_equivalent`: two representatives
 are identified when a common refinement of their apexes aligns both their
-backward-leg and forward-leg data.  Classes are the connected components of
-this relation, computed by union-find; on lawful inputs the one-step
-relation is already transitive, which the test suite checks on the shipped
-fixtures.
+backward-leg and forward-leg data.  On a lawful base with a class satisfying
+BF1..BF5, both checked before anything is built, this is an equivalence
+relation (Pronk 1996), so each frame's representatives are walked in
+canonical order and each is tested only against the leader, the least
+member, of each class found so far; the classes come out ordered by leader.
 
 Class-level composition never depends on which representative or which
 filler the search returns first; the searches here scan candidates in
@@ -30,9 +31,10 @@ checks that its factor is well typed.  Factors that do not depend on the
 innermost candidates, such as a representative's 2-cell restricted along a
 refinement leg, are evaluated at the first candidate that needs them, so an
 input raises where it raised when every candidate evaluated its whole chain.
-Each side of the witness search's equation depends on one representative
-and is evaluated once per build, shared by every pair of every frame; the
-other searches' factors are evaluated once per search.
+Every restriction of a 2-cell along a refinement leg is made once per
+build, in one memo that all the searches read, and each side of the witness
+search's equation, which depends on one representative, is evaluated once
+per build, shared by every pair of every frame.
 """
 
 from __future__ import annotations
@@ -189,7 +191,12 @@ def enumerate_reps(B: FinBicat, W: WClass, S1: Span, S2: Span) -> list[TwoCellRe
     return out
 
 
-def _search_sides(B: FinBicat) -> _Memo:
+def _restrictions(B: FinBicat) -> _Memo:
+    """`_restrict` for each key ``(b1, l1, a, b2, l2, z)``, evaluated once."""
+    return _Memo(lambda key: _restrict(B, *key))
+
+
+def _search_sides(B: FinBicat, restricted: _Memo) -> _Memo:
     """The sides of the identification equation, each evaluated once.
 
     A side reads nothing but B's tables and a representative's data over a
@@ -197,15 +204,14 @@ def _search_sides(B: FinBicat) -> _Memo:
     pair ``(lhs, rhs)`` with ``lhs[z][zeta2]`` the left side
     ``a|z ⊙ (back2 ∗ zeta2)`` and ``rhs[zp][zeta1]`` the right side
     ``(back1 ∗ zeta1) ⊙ a|zp``, where ``a|z`` is ``a`` restricted along
-    ``z`` (`_restrict`), shared by both.  One memo serves every search of a
-    build, whatever their order.
+    ``z``, read from ``restricted`` (`_restrictions`).  One memo serves
+    every search of a build, whatever their order.
     """
 
     def sides(key: tuple[str, str, str, str, str]):
         back1, _, _, back2, _ = key
-        restricted = _Memo(lambda z: _restrict(B, *key, z))
-        lhs = _Memo(lambda z: _Memo(lambda zeta2: vfold(B, restricted[z], whisker_left(B, back2, zeta2))))
-        rhs = _Memo(lambda zp: _Memo(lambda zeta1: vfold(B, whisker_left(B, back1, zeta1), restricted[zp])))
+        lhs = _Memo(lambda z: _Memo(lambda zeta2: vfold(B, restricted[key + (z,)], whisker_left(B, back2, zeta2))))
+        rhs = _Memo(lambda zp: _Memo(lambda zeta1: vfold(B, whisker_left(B, back1, zeta1), restricted[key + (zp,)])))
         return lhs, rhs
 
     return _Memo(sides)
@@ -228,10 +234,11 @@ def rep_equivalence_witness(
     ``zeta2`` only and the right side on ``r2``'s data, ``zp`` and ``zeta1``
     only (`_search_sides`), so each is computed once per build, at its first
     use, and a candidate pair costs two comparisons.  A materialization
-    shares one memo among all its searches; a call of this function has a
-    memo of its own.
+    shares one restriction memo and one side memo among all its searches and
+    tests each representative against its frame's class leaders only; a call
+    of this function has memos of its own.
     """
-    return _rep_witness(B, W, S1, S2, r1, r2, _search_sides(B))
+    return _rep_witness(B, W, S1, S2, r1, r2, _search_sides(B, _restrictions(B)))
 
 
 def _rep_witness(
@@ -314,22 +321,6 @@ def span_is_equivalence(B: FinBicat, W: WClass, s: Span) -> bool:
 
 
 # -- materialization ---------------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 @dataclass
@@ -458,23 +449,23 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
     classes: dict[str, TwoCellClass] = {}
     rep_to_class: dict[tuple[str, str], dict[TwoCellRep, str]] = {}
     two_cells: list[TwoCell] = []
-    sides = _search_sides(B)
+    restricted = _restrictions(B)
+    sides = _search_sides(B, restricted)
     for s1, s2 in frames:
         key = (s1.id, s2.id)
-        reps = sorted(enumerate_reps(B, W, s1, s2), key=lambda r: rep_sort_key(B, r))
-        uf = _UnionFind(len(reps))
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if uf.find(i) == uf.find(j):
-                    continue
-                if _rep_witness(B, W, s1, s2, reps[i], reps[j], sides) is not None:
-                    uf.union(i, j)
-        groups: dict[int, list[TwoCellRep]] = {}
-        for i, r in enumerate(reps):
-            groups.setdefault(uf.find(i), []).append(r)
-        ordered = sorted(groups.values(), key=lambda g: rep_sort_key(B, g[0]))
+        # The identification is an equivalence relation (Pronk), so a
+        # representative joins the first class whose leader, its least
+        # member, it is identified with; the leaders come out in order.
+        groups: list[list[TwoCellRep]] = []
+        for r in sorted(enumerate_reps(B, W, s1, s2), key=lambda r: rep_sort_key(B, r)):
+            for group in groups:
+                if _rep_witness(B, W, s1, s2, group[0], r, sides) is not None:
+                    group.append(r)
+                    break
+            else:
+                groups.append([r])
         table: dict[TwoCellRep, str] = {}
-        for k, group in enumerate(ordered):
+        for k, group in enumerate(groups):
             cid = f"[{key[0]}=>{key[1]}]#{k}"
             classes[cid] = TwoCellClass(cid, s1, s2, tuple(group))
             for r in group:
@@ -542,19 +533,17 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                 for y in B.hom1(D, Q):
                     q2y = h1(q2, y)
                     for rho in inv_cells2(B, p2x, q2y):
-                        # The first candidate is the answer, so no factor is
-                        # worth sharing between candidates.
                         alpha = vfold(
                             B,
-                            _restrict(B, S1.back, p1, phi.alpha, S2.back, p2, x),
+                            restricted[(S1.back, p1, phi.alpha, S2.back, p2, x)],
                             whisker_left(B, S2.back, rho),
-                            _restrict(B, S2.back, q2, psi.alpha, S3.back, q3, y),
+                            restricted[(S2.back, q2, psi.alpha, S3.back, q3, y)],
                         )
                         beta = vfold(
                             B,
-                            _restrict(B, S1.forward, p1, phi.beta, S2.forward, p2, x),
+                            restricted[(S1.forward, p1, phi.beta, S2.forward, p2, x)],
                             whisker_left(B, S2.forward, rho),
-                            _restrict(B, S2.forward, q2, psi.beta, S3.forward, q3, y),
+                            restricted[(S2.forward, q2, psi.beta, S3.forward, q3, y)],
                         )
                         rep = TwoCellRep(D, p1x, h1(q3, y), alpha, beta)
                         return locate(S1, S3, rep)
@@ -592,10 +581,6 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
         comp2 = sids[hcomp1[(T2.id, S.id)]]
         rho1_inv = two_cell_inverse(B, rho1)
         q1, q2 = psi.leg1, psi.leg2
-        # Factors of the two routes that depend on one loop variable only.
-        rho1_e1 = _Memo(lambda e1: _restrict(B, T1.back, y1, rho1_inv, S.forward, x1, e1))
-        rho2_e2 = _Memo(lambda e2: _restrict(B, S.forward, x2, rho2, T2.back, y2, e2))
-        psi_lam = _Memo(lambda lam: _restrict(B, T1.back, q1, psi.alpha, T2.back, q2, lam))
         for E in B.objects:
             for e1 in B.hom1(E, D1):
                 if h1(comp1.back, e1) not in W:
@@ -607,7 +592,10 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                     y2e2 = h1(y2, e2)
                     for xi in inv_cells2(B, x1e1, x2e2):
                         route1 = vfold(
-                            B, rho1_e1[e1], whisker_left(B, S.forward, xi), rho2_e2[e2],
+                            B,
+                            restricted[(T1.back, y1, rho1_inv, S.forward, x1, e1)],
+                            whisker_left(B, S.forward, xi),
+                            restricted[(S.forward, x2, rho2, T2.back, y2, e2)],
                         )
                         for lam in B.hom1(E, psi.apex):
                             q1lam = h1(q1, lam)
@@ -618,7 +606,7 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                                     route2 = vfold(
                                         B,
                                         whisker_left(B, T1.back, k1),
-                                        psi_lam[lam],
+                                        restricted[(T1.back, q1, psi.alpha, T2.back, q2, lam)],
                                         whisker_left(B, T2.back, k2_inv),
                                     )
                                     if route1 != route2:
@@ -633,7 +621,7 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                                         B,
                                         assoc_inv_cell(B, T1.forward, y1, e1),
                                         whisker_left(B, T1.forward, k1),
-                                        _restrict(B, T1.forward, q1, psi.beta, T2.forward, q2, lam),
+                                        restricted[(T1.forward, q1, psi.beta, T2.forward, q2, lam)],
                                         whisker_left(B, T2.forward, k2_inv),
                                         assoc_cell(B, T2.forward, y2, e2),
                                     )
@@ -655,10 +643,6 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
         comp2 = sids[hcomp1[(T.id, S2.id)]]
         rho1_inv = two_cell_inverse(B, rho1)
         p1, p2 = phi.leg1, phi.leg2
-        # Factors of ``delta`` that depend on one loop variable only.
-        rho1_e1 = _Memo(lambda e1: _restrict(B, T.back, y1, rho1_inv, S1.forward, x1, e1))
-        rho2_e2 = _Memo(lambda e2: _restrict(B, S2.forward, x2, rho2, T.back, y2, e2))
-        beta_lam = _Memo(lambda lam: _restrict(B, S1.forward, p1, phi.beta, S2.forward, p2, lam))
         for E in B.objects:
             for e1 in B.hom1(E, D1):
                 if h1(comp1.back, e1) not in W:
@@ -676,11 +660,11 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                                 i2_inv = two_cell_inverse(B, i2)
                                 delta = vfold(
                                     B,
-                                    rho1_e1[e1],
+                                    restricted[(T.back, y1, rho1_inv, S1.forward, x1, e1)],
                                     whisker_left(B, S1.forward, i1),
-                                    beta_lam[lam],
+                                    restricted[(S1.forward, p1, phi.beta, S2.forward, p2, lam)],
                                     whisker_left(B, S2.forward, i2_inv),
-                                    rho2_e2[e2],
+                                    restricted[(S2.forward, x2, rho2, T.back, y2, e2)],
                                 )
                                 for eps in B.cells2(y1e1, y2e2):
                                     if whisker_left(B, T.back, eps) != delta:
@@ -689,7 +673,7 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                                         B,
                                         assoc_inv_cell(B, S1.back, x1, e1),
                                         whisker_left(B, S1.back, i1),
-                                        _restrict(B, S1.back, p1, phi.alpha, S2.back, p2, lam),
+                                        restricted[(S1.back, p1, phi.alpha, S2.back, p2, lam)],
                                         whisker_left(B, S2.back, i2_inv),
                                         assoc_cell(B, S2.back, x2, e2),
                                     )

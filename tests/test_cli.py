@@ -1,6 +1,9 @@
 """End-to-end command behavior: exit codes, output formats, flag handling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from bicfrac.cli import run_command
@@ -8,7 +11,8 @@ from bicfrac.presentation import load_document
 from bicfrac.core import validate_bicat
 from test_fractions import count_law_checks
 
-FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "bicfrac" / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURE_DIR = SRC / "bicfrac" / "fixtures"
 TOY = str(FIXTURE_DIR / "appx-toy.json")
 LOOPY = str(FIXTURE_DIR / "appx-toy-loopy.json")
 ISO2 = str(FIXTURE_DIR / "iso2.json")
@@ -130,6 +134,22 @@ def test_localize_writes_valid_document(capsys, tmp_path):
     doc = load_document(str(out_path))
     assert validate_bicat(doc.bicat).passed
     assert not doc.bicat.strict
+
+
+def test_a_closed_output_pipe_ends_the_command_quietly(capsys, tmp_path):
+    frac = tmp_path / "frac.json"
+    assert run_command(["localize", TOY, "--class", "W", "--out", str(frac)]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicfrac", "validate", str(frac), "--format", "machine"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (1, "")
 
 
 def test_localize_rejects_bad_class(capsys):

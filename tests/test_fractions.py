@@ -382,11 +382,27 @@ def test_each_side_of_the_witness_search_is_evaluated_once_per_build(monkeypatch
 
     monkeypatch.setattr(fractions, "_restrict", counted)
     materialize_fractions(B, W, validate=False)
-    # The witness searches restrict along 5 distinct keys, each once; the
-    # composition and whiskering searches, which stop at their first
-    # candidate, make the other 140 calls (1,220 when each witness search
-    # evaluated its own sides).
-    assert (len(calls), len(set(calls))) == (145, 5)
+    # Every search of the build restricts along 5 distinct keys, each once
+    # (1,220 calls when each witness search evaluated its own sides, 145
+    # when the composition and whiskering searches kept memos of their own).
+    assert (len(calls), len(set(calls))) == (5, 5)
+
+
+def test_each_representative_is_searched_against_class_leaders_only(monkeypatch):
+    (_, B, W), = [c for c in generated_classes("cyclic_loop", 5) if c[0].endswith(":Wmin")]
+    calls = []
+    real = fractions._rep_witness
+
+    def counted(*args):
+        calls.append(args[4:6])
+        return real(*args)
+
+    monkeypatch.setattr(fractions, "_rep_witness", counted)
+    loc = materialize_fractions(B, W, validate=False)
+    leaders = {c.rep for c in loc.classes.values()}
+    assert all(leader in leaders for leader, _ in calls)
+    # 270 when every pair in different components was searched.
+    assert len(calls) == 70
 
 
 def shared_memo_cases():
@@ -400,7 +416,7 @@ def shared_memo_cases():
 
 
 def test_a_shared_memo_gives_the_reference_witnesses_in_either_order():
-    """One memo per localization, as in a build; the pairs in union-find order, then reversed."""
+    """One memo per localization, as in a build; the pairs in canonical order, then reversed."""
     witnessed = []
     for label, B, W in shared_memo_cases():
         spans = enumerate_spans(B, W)
@@ -415,7 +431,7 @@ def test_a_shared_memo_gives_the_reference_witnesses_in_either_order():
         want = [reference_rep_equivalence_witness(B, W, *pair) for pair in pairs]
         witnessed += [w is not None for w in want]
         for order in (pairs, pairs[::-1]):
-            sides = fractions._search_sides(B)
+            sides = fractions._search_sides(B, fractions._restrictions(B))
             got = {pair: fractions._rep_witness(B, W, *pair, sides) for pair in order}
             assert [got[pair] for pair in pairs] == want, label
     assert any(witnessed) and not all(witnessed)
@@ -429,6 +445,56 @@ def pinned_classes():
     for size in (5, 6):
         cases += [case for case in generated_classes("chain", size) if case[0].endswith(":all")]
     return cases
+
+
+def reference_partition(B: FinBicat, W: WClass, S1, S2) -> list[tuple[TwoCellRep, ...]]:
+    """The frame's classes by a full pairwise union-find, each pair tested both ways.
+
+    Each class lists its representatives in canonical order, and the
+    classes are ordered by their least representative.
+    """
+    reps = sorted(enumerate_reps(B, W, S1, S2), key=lambda r: rep_sort_key(B, r))
+    parent = list(range(len(reps)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, r1 in enumerate(reps):
+        for j, r2 in enumerate(reps):
+            if i != j and rep_equivalence_witness(B, W, S1, S2, r1, r2) is not None:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[TwoCellRep]] = {}
+    for i, r in enumerate(reps):
+        groups.setdefault(find(i), []).append(r)
+    return [tuple(groups[root]) for root in sorted(groups)]
+
+
+def assert_reference_partition(B: FinBicat, W: WClass) -> tuple[int, int, int]:
+    """Compare every frame's classes with `reference_partition`; return (frames, classes, reps)."""
+    loc = materialize_fractions(B, W, validate=False)
+    built: dict[tuple[str, str], list[tuple[TwoCellRep, ...]]] = {}
+    for c in loc.classes.values():
+        built.setdefault((c.src.id, c.tgt.id), []).append(c.reps)
+    for key, partition in built.items():
+        assert partition == reference_partition(B, W, *map(loc.span, key)), (B.name, key)
+    return len(built), len(loc.classes), sum(len(c.reps) for c in loc.classes.values())
+
+
+def test_leader_classes_match_the_pairwise_reference_on_the_pinned_classes():
+    counts = [assert_reference_partition(B, W) for _, B, W in pinned_classes()]
+    assert tuple(map(sum, zip(*counts))) == (686, 699, 1230)
+
+
+@pytest.mark.parametrize("size", (6, 7, 8))
+def test_leader_classes_match_the_pairwise_reference_on_larger_loops(size):
+    cases = [(B, W) for _, B, W in generated_classes("cyclic_loop", size) if check_bf(B, W).passed]
+    assert len(cases) == 2
+    for B, W in cases:
+        frames, classes, reps = assert_reference_partition(B, W)
+        assert reps > classes >= frames > 0
 
 
 # sha256 of `export_presentation` of each localization of `pinned_classes`,
