@@ -10,7 +10,17 @@ its domain with values of the right endpoints or boundary (the first fault
 found by `structural_violations`, or `structural_psfun_violations` for a
 pseudofunctor block).  The coherence laws are deliberately left to
 `validate_bicat`, so a well-typed but lawless document can still be loaded
-and inspected.
+and inspected.  A file that is not UTF-8, or JSON nested too deeply to
+decode, is a `PresentationError` too.
+
+Each table is read in bulk: one pass of set operations checks that every
+row is a list of the right width holding only strings, and the table is
+then read column by column into its dict, a duplicate key showing as a
+dict shorter than the table.  Only a table that fails is walked row by
+row, to name its first malformed row or duplicate key.  Every string is
+mapped through one dict per parsed document, so each cell id is a single
+object, shared by its declaration, the table keys and values, the class
+members and the tables of pseudofunctor blocks on their ``"self"`` sides.
 
 A pseudofunctor block carries ``source`` and ``target`` fields that are
 either ``"self"`` or a path to another document, resolved relative to the
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -74,35 +85,46 @@ def _want(doc: dict, key: str, kind: type, path: str = "") -> object:
     return val
 
 
-def _rows(doc: dict, key: str, width: int, path: str = "") -> list[tuple[str, ...]]:
-    """Fixed-width rows of strings, reported per row index on mismatch."""
+def _columns(doc: dict, key: str, width: int, canon: dict, path: str = "") -> list[list[str]]:
+    """The columns of a table of fixed-width string rows, each cell canonical.
+
+    The whole table is checked at once; only when that check fails are the
+    rows walked, to name the first malformed one.  ``canon`` maps every
+    string to the one object that stands for it in this document.
+    """
     raw = _want(doc, key, list, path)
-    loc = f"{path}.{key}" if path else key
-    out = []
-    for i, row in enumerate(raw):
-        if (
-            not isinstance(row, list)
-            or len(row) != width
-            or not all(isinstance(x, str) for x in row)
-        ):
-            _fail(f"{loc}[{i}]", f"expected a row of {width} strings")
-        out.append(tuple(row))
-    return out
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {width}
+        and set(map(type, chain.from_iterable(raw))) <= {str}
+    ):
+        loc = f"{path}.{key}" if path else key
+        for i, row in enumerate(raw):
+            if (
+                not isinstance(row, list)
+                or len(row) != width
+                or not all(isinstance(x, str) for x in row)
+            ):
+                _fail(f"{loc}[{i}]", f"expected a row of {width} strings")
+    return [list(map(canon.setdefault, col, col)) for col in zip(*raw)] or [[]] * width
 
 
-def _table(doc: dict, key: str, nkeys: int, path: str = "") -> dict:
+def _table(doc: dict, key: str, nkeys: int, canon: dict, path: str = "") -> dict:
     """A table keyed by its first ``nkeys`` columns; single keys are bare strings."""
-    loc = f"{path}.{key}" if path else key
-    table: dict = {}
-    for row in _rows(doc, key, nkeys + 1, path):
-        k = row[0] if nkeys == 1 else row[:nkeys]
-        if k in table:
-            _fail(entry_name(loc, k), "duplicate entry")
-        table[k] = row[nkeys]
+    cols = _columns(doc, key, nkeys + 1, canon, path)
+    keys = cols[0] if nkeys == 1 else list(zip(*cols[:nkeys]))
+    table = dict(zip(keys, cols[nkeys]))
+    if len(table) != len(keys):
+        loc = f"{path}.{key}" if path else key
+        seen = set()
+        for k in keys:
+            if k in seen:
+                _fail(entry_name(loc, k), "duplicate entry")
+            seen.add(k)
     return table
 
 
-def _parse_bicat(doc: dict, name: str) -> FinBicat:
+def _parse_bicat(doc: dict, name: str, canon: dict) -> FinBicat:
     objects = _want(doc, "objects", list)
     for i, x in enumerate(objects):
         if not isinstance(x, str):
@@ -113,18 +135,18 @@ def _parse_bicat(doc: dict, name: str) -> FinBicat:
         _fail("strict", "expected a boolean")
     try:
         B = FinBicat(
-            objects=tuple(objects),
-            one_cells=tuple(OneCell(*r) for r in _rows(doc, "one_cells", 3)),
-            two_cells=tuple(TwoCell(*r) for r in _rows(doc, "two_cells", 3)),
-            id1=_table(doc, "id1", 1),
-            id2=_table(doc, "id2", 1),
-            hcomp1=_table(doc, "hcomp1", 2),
-            vcomp=_table(doc, "vcomp", 2),
-            whisk_left=_table(doc, "whisk_left", 2),
-            whisk_right=_table(doc, "whisk_right", 2),
-            assoc=_table(doc, "assoc", 3),
-            runit=_table(doc, "runit", 1),
-            lunit=_table(doc, "lunit", 1),
+            objects=tuple(map(canon.setdefault, objects, objects)),
+            one_cells=tuple(map(OneCell, *_columns(doc, "one_cells", 3, canon))),
+            two_cells=tuple(map(TwoCell, *_columns(doc, "two_cells", 3, canon))),
+            id1=_table(doc, "id1", 1, canon),
+            id2=_table(doc, "id2", 1, canon),
+            hcomp1=_table(doc, "hcomp1", 2, canon),
+            vcomp=_table(doc, "vcomp", 2, canon),
+            whisk_left=_table(doc, "whisk_left", 2, canon),
+            whisk_right=_table(doc, "whisk_right", 2, canon),
+            assoc=_table(doc, "assoc", 3, canon),
+            runit=_table(doc, "runit", 1, canon),
+            lunit=_table(doc, "lunit", 1, canon),
             strict=strict,
             name=name,
         )
@@ -155,11 +177,11 @@ def _parse_classes(doc: dict, bicat: FinBicat) -> dict[str, WClass]:
             if m in seen:
                 _fail(f"classes[{cname!r}][{i}]", f"duplicate member {m!r}")
             try:
-                bicat.one(m)
-            except Exception:
+                cell = bicat.one(m)
+            except StructureError:
                 _fail(f"classes[{cname!r}][{i}]", f"undeclared 1-cell {m!r}")
-            seen.add(m)
-        out[cname] = WClass(frozenset(members), cname)
+            seen.add(cell.id)  # the declared id, not the member's equal copy
+        out[cname] = WClass(frozenset(seen), cname)
     return out
 
 
@@ -174,14 +196,15 @@ def parse_presentation(
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
         raise PresentationError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
     name = doc.get("name", "")
     if not isinstance(name, str):
         _fail("name", "expected a string")
-    bicat = _parse_bicat(doc, name)
+    canon: dict[str, str] = {}  # one object per distinct string of this document
+    bicat = _parse_bicat(doc, name, canon)
     classes = _parse_classes(doc, bicat)
 
     psfuns: dict[str, PsFun] = {}
@@ -203,9 +226,7 @@ def parse_presentation(
             if not path.is_file():
                 _fail(loc, f"referenced document {ref!r} not found")
             ref_docs[ref] = parse_presentation(
-                path.read_text(encoding="utf-8"),
-                base_dir=path.parent,
-                _depth=_depth + 1,
+                _read_text(path), base_dir=path.parent, _depth=_depth + 1
             )
         return ref_docs[ref].bicat
 
@@ -225,11 +246,11 @@ def parse_presentation(
         F = PsFun(
             source=source,
             target=target,
-            f0=_table(block, "f0", 1, loc),
-            f1=_table(block, "f1", 1, loc),
-            f2=_table(block, "f2", 1, loc),
-            psi=_table(block, "psi", 2, loc),
-            sigma=_table(block, "sigma", 1, loc),
+            f0=_table(block, "f0", 1, canon, loc),
+            f1=_table(block, "f1", 1, canon, loc),
+            f2=_table(block, "f2", 1, canon, loc),
+            psi=_table(block, "psi", 2, canon, loc),
+            sigma=_table(block, "sigma", 1, canon, loc),
             name=pname,
         )
         _fail_first(structural_psfun_violations(F), f"{loc}.")
@@ -244,7 +265,16 @@ def load_document(path: str | Path) -> Presentation:
     p = Path(path)
     if not p.is_file():
         raise PresentationError(f"document {str(p)!r} not found")
-    return parse_presentation(p.read_text(encoding="utf-8"), base_dir=p.parent)
+    return parse_presentation(_read_text(p), base_dir=p.parent)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise PresentationError(
+            f"document {str(path)!r} is not UTF-8 text at byte {e.start} ({e.reason})"
+        ) from e
 
 
 def export_presentation(pres: Presentation) -> str:

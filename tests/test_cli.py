@@ -91,6 +91,33 @@ def test_ill_typed_document_is_a_document_error(capsys, tmp_path):
         assert "Traceback" not in captured.err
 
 
+def document_error(capsys, path) -> str:
+    """The message of a command that must end in a document error."""
+    code = run_command(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("document error: ")
+    return captured.err
+
+
+def test_a_document_that_is_not_utf8_is_a_document_error(capsys, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert document_error(capsys, bad).startswith(
+        f"document error: document {str(bad)!r} is not UTF-8 text at byte 0 ")
+    # A referenced document is read the same way.
+    (tmp_path / "toyq.json").write_bytes(b"\xff\xfe{}")
+    referring = tmp_path / "collapse-loop.json"
+    referring.write_text(Path(COLLAPSE).read_text(encoding="utf-8"), encoding="utf-8")
+    assert f"{str(tmp_path / 'toyq.json')!r} is not UTF-8 text" in document_error(capsys, referring)
+
+
+def test_deeply_nested_json_is_a_document_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert document_error(capsys, deep).startswith("document error: not valid JSON: ")
+
+
 def test_well_typed_but_lawless_document_fails_validation(capsys, tmp_path):
     lawless = toy_with_vcomp(tmp_path, ["loop", "iB"], "iB")  # breaks loop ⊙ id = loop
     code, out = run(capsys, "validate", lawless)
