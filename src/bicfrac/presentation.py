@@ -13,14 +13,10 @@ pseudofunctor block).  The coherence laws are deliberately left to
 and inspected.  A file that is not UTF-8, or JSON nested too deeply to
 decode, is a `PresentationError` too.
 
-Each table is read in bulk: one pass of set operations checks that every
-row is a list of the right width holding only strings, and the table is
-then read column by column into its dict, a duplicate key showing as a
-dict shorter than the table.  Only a table that fails is walked row by
-row, to name its first malformed row or duplicate key.  Every string is
-mapped through one dict per parsed document, so each cell id is a single
-object, shared by its declaration, the table keys and values, the class
-members and the tables of pseudofunctor blocks on their ``"self"`` sides.
+Every string is mapped through one dict per parsed document, so each cell
+id is a single object, shared by its declaration, the table keys and
+values, the class members and the tables of pseudofunctor blocks on their
+``"self"`` sides.
 
 A pseudofunctor block carries ``source`` and ``target`` fields that are
 either ``"self"`` or a path to another document, resolved relative to the
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -85,42 +80,37 @@ def _want(doc: dict, key: str, kind: type, path: str = "") -> object:
     return val
 
 
-def _columns(doc: dict, key: str, width: int, canon: dict, path: str = "") -> list[list[str]]:
-    """The columns of a table of fixed-width string rows, each cell canonical.
+def _rows(doc: dict, key: str, width: int, canon: dict, path: str = "") -> list[tuple[str, ...]]:
+    """Fixed-width rows of strings, reported per row index on mismatch.
 
-    The whole table is checked at once; only when that check fails are the
-    rows walked, to name the first malformed one.  ``canon`` maps every
-    string to the one object that stands for it in this document.
+    ``canon`` maps every string to the one object that stands for it in
+    this document.  Each row is mapped through it in place, so the
+    decoder's copy of an id already seen is freed as its row is read.
     """
     raw = _want(doc, key, list, path)
-    if not (
-        set(map(type, raw)) <= {list}
-        and set(map(len, raw)) <= {width}
-        and set(map(type, chain.from_iterable(raw))) <= {str}
-    ):
-        loc = f"{path}.{key}" if path else key
-        for i, row in enumerate(raw):
-            if (
-                not isinstance(row, list)
-                or len(row) != width
-                or not all(isinstance(x, str) for x in row)
-            ):
-                _fail(f"{loc}[{i}]", f"expected a row of {width} strings")
-    return [list(map(canon.setdefault, col, col)) for col in zip(*raw)] or [[]] * width
+    loc = f"{path}.{key}" if path else key
+    out = []
+    for i, row in enumerate(raw):
+        if (
+            not isinstance(row, list)
+            or len(row) != width
+            or not all(isinstance(x, str) for x in row)
+        ):
+            _fail(f"{loc}[{i}]", f"expected a row of {width} strings")
+        row[:] = map(canon.setdefault, row, row)
+        out.append(tuple(row))
+    return out
 
 
 def _table(doc: dict, key: str, nkeys: int, canon: dict, path: str = "") -> dict:
     """A table keyed by its first ``nkeys`` columns; single keys are bare strings."""
-    cols = _columns(doc, key, nkeys + 1, canon, path)
-    keys = cols[0] if nkeys == 1 else list(zip(*cols[:nkeys]))
-    table = dict(zip(keys, cols[nkeys]))
-    if len(table) != len(keys):
-        loc = f"{path}.{key}" if path else key
-        seen = set()
-        for k in keys:
-            if k in seen:
-                _fail(entry_name(loc, k), "duplicate entry")
-            seen.add(k)
+    loc = f"{path}.{key}" if path else key
+    table: dict = {}
+    for row in _rows(doc, key, nkeys + 1, canon, path):
+        k = row[0] if nkeys == 1 else row[:nkeys]
+        if k in table:
+            _fail(entry_name(loc, k), "duplicate entry")
+        table[k] = row[nkeys]
     return table
 
 
@@ -136,8 +126,8 @@ def _parse_bicat(doc: dict, name: str, canon: dict) -> FinBicat:
     try:
         B = FinBicat(
             objects=tuple(map(canon.setdefault, objects, objects)),
-            one_cells=tuple(map(OneCell, *_columns(doc, "one_cells", 3, canon))),
-            two_cells=tuple(map(TwoCell, *_columns(doc, "two_cells", 3, canon))),
+            one_cells=tuple(OneCell(*r) for r in _rows(doc, "one_cells", 3, canon)),
+            two_cells=tuple(TwoCell(*r) for r in _rows(doc, "two_cells", 3, canon)),
             id1=_table(doc, "id1", 1, canon),
             id2=_table(doc, "id2", 1, canon),
             hcomp1=_table(doc, "hcomp1", 2, canon),
