@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from .conditions import ConditionReport, check_family, cross_validate_theorems
-from .core import PreconditionError, validate_bicat
+from .core import PreconditionError, require_lawful, validate_bicat
 from .fractions import LocalizationError, materialize_fractions, universal_pseudofunctor
 from .presentation import (
     Presentation,
@@ -203,6 +203,7 @@ def _cmd_check_bf(args) -> tuple[int, dict, list[str]]:
     pres = _load(args.file)
     B = pres.bicat
     W = _pick_class(pres.classes, args.wname, args.file)
+    require_lawful(B, "bicategory")
     rep = check_bf(B, W)
     text = [f"check-bf {args.file} --class {W.name}"]
     verdicts = []
@@ -384,6 +385,8 @@ def _cmd_cross_validate(args) -> tuple[int, dict, list[str]]:
         F, w_src, target_class = _resolve_check(ns, pres)
         if w_src is None:
             raise UsageError("cross-validate needs a source class (--class-src)")
+        require_lawful(F.source, "source bicategory")
+        require_lawful(F.target, "target bicategory")
         rep = cross_validate_theorems(F, w_src, target_class())
         text.append(f"cross-validate {fname} --psfun {args.psfun}")
         for s in rep.subchecks:

@@ -799,3 +799,10 @@ def validate_bicat(B: FinBicat) -> ValidationReport:
         components_identity=components_id,
     )
     return B._cache["report"]
+
+
+def require_lawful(B: FinBicat, what: str) -> None:
+    """Raise `PreconditionError` naming every law ``B`` (called ``what``) violates."""
+    report = validate_bicat(B)
+    if not report.passed:
+        raise PreconditionError(f"{what} violates: {', '.join(sorted(report.laws_failed()))}")

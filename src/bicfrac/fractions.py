@@ -9,7 +9,9 @@ that is then run through the full validator.  The spans and classes are
 declared first; the composition, whiskering and coherence tables are then
 filled by walking the new `FinBicat`'s own domains (`core.composable_pairs`
 and its siblings).  An entry landing in a frame with a single class is that
-class; only frames with several classes are searched.
+class; only frames with several classes are searched.  Left and right
+whiskering are one search with the roles of the two spans swapped: a fixed
+span on one side, a class's representative on the other.
 
 The decision procedure for 2-cells is `reps_equivalent`: two representatives
 are identified when a common refinement of their apexes aligns both their
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .core import (
@@ -59,6 +61,7 @@ from .core import (
     inverse_cell,
     lunit_cell,
     lwhisker_pairs,
+    require_lawful,
     runit_cell,
     rwhisker_pairs,
     two_cell_inverse,
@@ -420,10 +423,7 @@ def materialize_fractions(B: FinBicat, W: WClass, *, validate: bool = True) -> L
 
 def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
     """The localization's tables, after checking the base's laws and ``W``'s axioms."""
-    base = validate_bicat(B)
-    if not base.passed:
-        laws = ", ".join(sorted(base.laws_failed()))
-        raise PreconditionError(f"base bicategory violates: {laws}")
+    require_lawful(B, "base bicategory")
     bf = check_bf(B, W)
     if not bf.passed:
         bad = ", ".join(k for k, v in bf.verdicts.items() if not v.holds)
@@ -569,134 +569,81 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                 c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep
             )
 
-    def whisk_right_class(psi_cls: TwoCellClass, S: Span) -> str:
-        """Class of ``psi ∗ i_S`` for ``psi: T1 ⇒ T2`` and a span ``S``."""
-        T1, T2 = psi_cls.src, psi_cls.tgt
-        psi = psi_cls.rep
-        f1 = fillers[(T1.id, S.id)]
-        f2 = fillers[(T2.id, S.id)]
-        D1, x1, y1, rho1 = f1.apex, f1.left, f1.right, f1.rho
-        D2, x2, y2, rho2 = f2.apex, f2.left, f2.right, f2.rho
-        comp1 = sids[hcomp1[(T1.id, S.id)]]
-        comp2 = sids[hcomp1[(T2.id, S.id)]]
-        rho1_inv = two_cell_inverse(B, rho1)
-        q1, q2 = psi.leg1, psi.leg2
-        for E in B.objects:
-            for e1 in B.hom1(E, D1):
-                if h1(comp1.back, e1) not in W:
-                    continue
-                x1e1 = h1(x1, e1)
-                y1e1 = h1(y1, e1)
-                for e2 in B.hom1(E, D2):
-                    x2e2 = h1(x2, e2)
-                    y2e2 = h1(y2, e2)
-                    for xi in inv_cells2(B, x1e1, x2e2):
-                        route1 = vfold(
-                            B,
-                            restricted[(T1.back, y1, rho1_inv, S.forward, x1, e1)],
-                            whisker_left(B, S.forward, xi),
-                            restricted[(S.forward, x2, rho2, T2.back, y2, e2)],
-                        )
-                        for lam in B.hom1(E, psi.apex):
-                            q1lam = h1(q1, lam)
-                            q2lam = h1(q2, lam)
-                            for k1 in inv_cells2(B, y1e1, q1lam):
-                                for k2 in inv_cells2(B, y2e2, q2lam):
-                                    k2_inv = two_cell_inverse(B, k2)
-                                    route2 = vfold(
-                                        B,
-                                        whisker_left(B, T1.back, k1),
-                                        restricted[(T1.back, q1, psi.alpha, T2.back, q2, lam)],
-                                        whisker_left(B, T2.back, k2_inv),
-                                    )
-                                    if route1 != route2:
-                                        continue
-                                    alpha = vfold(
-                                        B,
-                                        assoc_inv_cell(B, S.back, x1, e1),
-                                        whisker_left(B, S.back, xi),
-                                        assoc_cell(B, S.back, x2, e2),
-                                    )
-                                    beta = vfold(
-                                        B,
-                                        assoc_inv_cell(B, T1.forward, y1, e1),
-                                        whisker_left(B, T1.forward, k1),
-                                        restricted[(T1.forward, q1, psi.beta, T2.forward, q2, lam)],
-                                        whisker_left(B, T2.forward, k2_inv),
-                                        assoc_cell(B, T2.forward, y2, e2),
-                                    )
-                                    rep = TwoCellRep(E, e1, e2, alpha, beta)
-                                    return locate(comp1, comp2, rep)
-        raise LocalizationError(
-            f"no whiskering site for {psi_cls.id!r} ∗ {S.id!r}"
-        )
+    def parts(X1: Span, X2: Span, rep: Optional[TwoCellRep], c1: str, c2: str, E: str, cells: Callable):
+        """Candidate ``(back, forward)`` parts of one side of a whiskering, as thunks.
 
-    def whisk_left_class(T: Span, phi_cls: TwoCellClass) -> str:
-        """Class of ``i_T ∗ phi`` for a span ``T`` and ``phi: S1 ⇒ S2``."""
-        S1, S2 = phi_cls.src, phi_cls.tgt
-        phi = phi_cls.rep
-        f1 = fillers[(T.id, S1.id)]
-        f2 = fillers[(T.id, S2.id)]
-        D1, x1, y1, rho1 = f1.apex, f1.left, f1.right, f1.rho
-        D2, x2, y2, rho2 = f2.apex, f2.left, f2.right, f2.rho
-        comp1 = sids[hcomp1[(T.id, S1.id)]]
-        comp2 = sids[hcomp1[(T.id, S2.id)]]
-        rho1_inv = two_cell_inverse(B, rho1)
-        p1, p2 = phi.leg1, phi.leg2
+        A part is a 2-cell ``X1.leg∘c1 ⇒ X2.leg∘c2``.  A fixed span (``rep``
+        None) whiskers its legs by each ``cells`` 2-cell ``c1 ⇒ c2``; a class
+        conjugates its representative's ``alpha`` and ``beta``, restricted
+        along ``lam: E → apex``, by invertible ``k1: c1 ⇒ leg1∘lam`` and
+        ``k2: c2 ⇒ leg2∘lam``.
+        """
+        if rep is None:
+            for c in cells(B, c1, c2):
+                yield partial(whisker_left, B, X1.back, c), partial(whisker_left, B, X1.forward, c)
+            return
+
+        def conj(b1: str, b2: str, a: str, lam: str, k1: str, k2_inv: str) -> str:
+            return vfold(B, whisker_left(B, b1, k1), restricted[(b1, rep.leg1, a, b2, rep.leg2, lam)],
+                         whisker_left(B, b2, k2_inv))
+
+        for lam in B.hom1(E, rep.apex):
+            for k1 in inv_cells2(B, c1, h1(rep.leg1, lam)):
+                for k2 in inv_cells2(B, c2, h1(rep.leg2, lam)):
+                    k = (lam, k1, two_cell_inverse(B, k2))
+                    yield (partial(conj, X1.back, X2.back, rep.alpha, *k),
+                           partial(conj, X1.forward, X2.forward, rep.beta, *k))
+
+    def whisker_class(
+        T1: Span, T2: Span, S1: Span, S2: Span,
+        outer_rep: Optional[TwoCellRep], inner_rep: Optional[TwoCellRep],
+    ) -> str:
+        """Class of ``psi ∗ i_S`` or ``i_T ∗ phi``, a class ``T1∘S1 ⇒ T2∘S2``.
+
+        Exactly one side is a class, given by its representative; the other
+        is a fixed span (``T1 == T2`` or ``S1 == S2``).  Over the filler
+        squares ``rho1``, ``rho2`` refined along ``e1``, ``e2``, the least
+        candidates solve ``rho1⁻¹|e1 ⊙ inner forward ⊙ rho2|e2 == outer back``;
+        the new representative's ``alpha`` is the inner back part and its
+        ``beta`` the outer forward part, each between associators.
+        """
+        f1, f2 = fillers[(T1.id, S1.id)], fillers[(T2.id, S2.id)]
+        comp1, comp2 = sids[hcomp1[(T1.id, S1.id)]], sids[hcomp1[(T2.id, S2.id)]]
+        rho1_inv = two_cell_inverse(B, f1.rho)
         for E in B.objects:
-            for e1 in B.hom1(E, D1):
+            for e1 in B.hom1(E, f1.apex):
                 if h1(comp1.back, e1) not in W:
                     continue
-                x1e1 = h1(x1, e1)
-                y1e1 = h1(y1, e1)
-                for e2 in B.hom1(E, D2):
-                    x2e2 = h1(x2, e2)
-                    y2e2 = h1(y2, e2)
-                    for lam in B.hom1(E, phi.apex):
-                        p1lam = h1(p1, lam)
-                        p2lam = h1(p2, lam)
-                        for i1 in inv_cells2(B, x1e1, p1lam):
-                            for i2 in inv_cells2(B, x2e2, p2lam):
-                                i2_inv = two_cell_inverse(B, i2)
-                                delta = vfold(
-                                    B,
-                                    restricted[(T.back, y1, rho1_inv, S1.forward, x1, e1)],
-                                    whisker_left(B, S1.forward, i1),
-                                    restricted[(S1.forward, p1, phi.beta, S2.forward, p2, lam)],
-                                    whisker_left(B, S2.forward, i2_inv),
-                                    restricted[(S2.forward, x2, rho2, T.back, y2, e2)],
-                                )
-                                for eps in B.cells2(y1e1, y2e2):
-                                    if whisker_left(B, T.back, eps) != delta:
-                                        continue
-                                    alpha = vfold(
-                                        B,
-                                        assoc_inv_cell(B, S1.back, x1, e1),
-                                        whisker_left(B, S1.back, i1),
-                                        restricted[(S1.back, p1, phi.alpha, S2.back, p2, lam)],
-                                        whisker_left(B, S2.back, i2_inv),
-                                        assoc_cell(B, S2.back, x2, e2),
-                                    )
-                                    beta = vfold(
-                                        B,
-                                        assoc_inv_cell(B, T.forward, y1, e1),
-                                        whisker_left(B, T.forward, eps),
-                                        assoc_cell(B, T.forward, y2, e2),
-                                    )
-                                    rep = TwoCellRep(E, e1, e2, alpha, beta)
-                                    return locate(comp1, comp2, rep)
-        raise LocalizationError(
-            f"no whiskering site for {T.id!r} ∗ {phi_cls.id!r}"
-        )
+                for e2 in B.hom1(E, f2.apex):
+                    inner = parts(S1, S2, inner_rep, h1(f1.left, e1), h1(f2.left, e2), E, inv_cells2)
+                    for in_back, in_fwd in inner:
+                        lhs = vfold(
+                            B,
+                            restricted[(T1.back, f1.right, rho1_inv, S1.forward, f1.left, e1)],
+                            in_fwd(),
+                            restricted[(S2.forward, f2.left, f2.rho, T2.back, f2.right, e2)],
+                        )
+                        outer = parts(T1, T2, outer_rep, h1(f1.right, e1), h1(f2.right, e2), E, FinBicat.cells2)
+                        for out_back, out_fwd in outer:
+                            if out_back() != lhs:
+                                continue
+                            alpha = vfold(B, assoc_inv_cell(B, S1.back, f1.left, e1), in_back(),
+                                          assoc_cell(B, S2.back, f2.left, e2))
+                            beta = vfold(B, assoc_inv_cell(B, T1.forward, f1.right, e1), out_fwd(),
+                                         assoc_cell(B, T2.forward, f2.right, e2))
+                            return locate(comp1, comp2, TwoCellRep(E, e1, e2, alpha, beta))
+        raise LocalizationError(f"no whiskering site over {comp1.id!r} ⇒ {comp2.id!r}")
 
     for g, a in lwhisker_pairs(mat):
+        c = classes[a.id]
         mat.whisk_left[(g.id, a.id)] = forced(
             hcomp1[(g.id, a.src)], hcomp1[(g.id, a.tgt)]
-        ) or whisk_left_class(sids[g.id], classes[a.id])
+        ) or whisker_class(sids[g.id], sids[g.id], c.src, c.tgt, None, c.rep)
     for b, f in rwhisker_pairs(mat):
+        c = classes[b.id]
         mat.whisk_right[(b.id, f.id)] = forced(
             hcomp1[(b.src, f.id)], hcomp1[(b.tgt, f.id)]
-        ) or whisk_right_class(classes[b.id], sids[f.id])
+        ) or whisker_class(c.src, c.tgt, sids[f.id], sids[f.id], c.rep, None)
 
     def invertible_class(src_sid: str, tgt_sid: str, context: str) -> str:
         """Least class in the frame that is invertible for the built tables."""

@@ -131,6 +131,23 @@ def test_well_typed_but_lawless_document_fails_validation(capsys, tmp_path):
     assert "hom-category:unit" in captured.err
 
 
+def test_a_lawless_document_is_never_passed(capsys, tmp_path):
+    lawless = toy_with_vcomp(tmp_path, ["loop", "iB"], "iB")
+    for argv, code in [
+        (["validate", lawless], 1),
+        (["localize", lawless, "--class", "W"], 3),
+        (["check-bf", lawless, "--class", "W"], 3),
+        (["cross-validate", lawless, "--class-src", "W", "--class-tgt", "W"], 3),
+    ]:
+        assert run_command(argv) == code, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 3:
+            assert captured.out == ""
+            assert captured.err.startswith("precondition violation: ")
+            assert " violates: " in captured.err and "hom-category:unit" in captured.err
+
+
 def test_check_bf_pass_and_fail(capsys):
     code, out = run(capsys, "check-bf", TOY, "--class", "W")
     assert code == 0

@@ -43,8 +43,9 @@ from bicfrac.fractions import (
 from bicfrac.conditions import cross_validate_theorems
 from bicfrac.presentation import Presentation, export_presentation, load_document
 from bicfrac.psfun import identity_psfun, induce_g_tilde
-from bicfrac.wclass import WClass, check_bf, saturate
+from bicfrac.wclass import WClass, check_bf, quasi_units, saturate
 from pasting_reference import Assoc, AssocInv, Atom, WhiskL, WhiskR, eval_pasting, vchain
+import whisker_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "src" / "bicfrac" / "fixtures"
@@ -435,6 +436,57 @@ def test_a_shared_memo_gives_the_reference_witnesses_in_either_order():
             got = {pair: fractions._rep_witness(B, W, *pair, sides) for pair in order}
             assert [got[pair] for pair in pairs] == want, label
     assert any(witnessed) and not all(witnessed)
+
+
+def whisker_localizations():
+    """Each fixture class's localization, and `cyclic_loop(2..8)`'s at ``Wmin``, twice.
+
+    The second time is the first localization localized at its quasi-units.
+    """
+    locs = [materialize_fractions(B, W) for _, B, W in fixture_bf_classes()]
+    for k in range(2, 9):
+        (_, B, W), = [c for c in generated_classes("cyclic_loop", k) if c[0].endswith(":Wmin")]
+        loc = materialize_fractions(B, W)
+        locs += [loc, materialize_fractions(loc.bicat, quasi_units(loc.bicat))]
+    return locs
+
+
+def assert_whiskers_match_the_reference(loc) -> tuple[int, int]:
+    """Each whisker entry whose frame holds two or more classes, against `whisker_reference`.
+
+    The entry must be the reference's class from the class's leader, and
+    the reference from every other representative must give the same class.
+    Returns the number of entries and of representatives searched.
+    """
+    L = loc.bicat
+    counts = [0, 0]
+
+    def check(entry: str, frame: tuple[str, str], c, search) -> None:
+        if len(L.cells2(*frame)) < 2:
+            return
+        assert search(c.rep) == entry, (L.name, c.id, frame)
+        for r in c.reps[1:]:
+            assert search(r) == entry, (L.name, c.id, frame, r)
+        counts[0] += 1
+        counts[1] += len(c.reps)
+
+    for g, a in lwhisker_pairs(L):
+        T, c = loc.span(g.id), loc.cls(a.id)
+        check(L.whisk_left[(g.id, a.id)], (L.hcomp1[(g.id, a.src)], L.hcomp1[(g.id, a.tgt)]), c,
+              lambda r: whisker_reference.whisk_left(loc, T, c.src, c.tgt, r))
+    for b, f in rwhisker_pairs(L):
+        S, c = loc.span(f.id), loc.cls(b.id)
+        check(L.whisk_right[(b.id, f.id)], (L.hcomp1[(b.src, f.id)], L.hcomp1[(b.tgt, f.id)]), c,
+              lambda r: whisker_reference.whisk_right(loc, c.src, c.tgt, r, S))
+    return counts[0], counts[1]
+
+
+def test_whiskers_match_the_reference_from_every_representative():
+    counts = [assert_whiskers_match_the_reference(loc) for loc in whisker_localizations()]
+    # appx-toy, appx-toy-loopy and collapse-loop at Wmin search 2+2 entries
+    # each, and cyclic_loop(k) at Wmin and re-localized k+k each; every
+    # thin localization forces all its entries.
+    assert tuple(map(sum, zip(*counts))) == (152, 832)
 
 
 def pinned_classes():
