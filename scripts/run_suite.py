@@ -18,7 +18,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from bicfrac.builders import theorem_suite  # noqa: E402
 from bicfrac.conditions import check_A, cross_validate_theorems, is_weak_equivalence  # noqa: E402
-from bicfrac.psfun import induce_g_tilde  # noqa: E402
+from bicfrac.fractions import induce_g_tilde  # noqa: E402
 
 
 def main() -> int:

@@ -9,10 +9,10 @@ entry points, in the order a typical session uses them:
   2-cells by table lookup.
 - `WClass`, `check_bf`, `saturate`, `quasi_units`: classes of 1-cells and
   the closure axioms that allow inverting them.
-- `materialize_fractions`, `universal_pseudofunctor`: the bicategory of
-  fractions as explicit tables and the canonical map into it.
-- `PsFun`, `validate_psfun`, `induce_g_tilde`: pseudofunctors and the
-  induced map between localizations.
+- `PsFun`, `validate_psfun`: pseudofunctors and their law checker.
+- `materialize_fractions`, `universal_pseudofunctor`, `induce_g_tilde`: the
+  bicategory of fractions as explicit tables, the canonical map into it and
+  the induced map between localizations.
 - `check_family`, `check_A`, `check_B`, `check_EF`, `check_X`,
   `is_weak_equivalence`, `cross_validate_theorems`: the condition families
   and their known relationships.
@@ -72,11 +72,11 @@ from .core import (
     two_cell_inverse,
     validate_bicat,
     vcompose,
-    vcompose_all,
     whisker_left,
     whisker_right,
 )
 from .fractions import (
+    GTildeResult,
     Localization,
     LocalizationError,
     Span,
@@ -84,6 +84,8 @@ from .fractions import (
     TwoCellRep,
     compose_spans,
     enumerate_spans,
+    g_tilde_on_two_cell,
+    induce_g_tilde,
     materialize_fractions,
     reps_equivalent,
     span_is_equivalence,
@@ -97,12 +99,9 @@ from .presentation import (
     parse_presentation,
 )
 from .psfun import (
-    GTildeResult,
     PsFun,
     PsFunReport,
-    g_tilde_on_two_cell,
     identity_psfun,
-    induce_g_tilde,
     maps_into,
     structural_psfun_violations,
     validate_psfun,

@@ -32,7 +32,7 @@ existentials for the hardest universally quantified input, or the first
 input in enumeration order whose search space was exhausted.  The one
 pasting chain among the conditions, ``A5``'s transport of a source 2-cell
 along the comparison data (`a5_composite`), is evaluated by `core`'s table
-lookups.
+lookups; it and ``B5`` read the compositor conjugate `psfun.conjugate`.
 ``cross_validate_theorems`` replays the known relationships between the
 families on one concrete instance, deciding each family at most once, and
 reports any disagreement.
@@ -55,13 +55,12 @@ from .core import (
     internal_equivalences,
     inv_cells2,
     inverse_cell,
-    two_cell_inverse,
-    vcompose_all,
     vfold,
     whisker_left,
     whisker_right,
 )
-from .psfun import PsFun, induce_g_tilde, maps_into
+from .fractions import LocalizationError, induce_g_tilde
+from .psfun import PsFun, conjugate, maps_into
 from .wclass import WClass, check_bf, internal_equivalences_class, quasi_units, saturate
 
 
@@ -299,13 +298,12 @@ def a5_composite(
     """
     tgt = F.target
     ff1, ff2, fv = F.f1[f1], F.f1[f2], F.f1[v_a]
-    psi1, f_alpha, psi2 = F.psi[(f1, v_a)], F.f2[alpha_a], F.psi[(f2, v_a)]
     return vfold(
         tgt,
         assoc_inv_cell(tgt, ff1, v_b, zp_b),
         whisker_left(tgt, ff1, sigma_b),
         assoc_cell(tgt, ff1, fv, z_b),
-        whisker_right(tgt, vfold(tgt, inverse_cell(tgt, psi1), f_alpha, psi2), z_b),
+        whisker_right(tgt, conjugate(F, alpha_a, f1, v_a, f2, v_a), z_b),
         assoc_inv_cell(tgt, ff2, fv, z_b),
         whisker_left(tgt, ff2, inverse_cell(tgt, sigma_b)),
         assoc_cell(tgt, ff2, v_b, zp_b),
@@ -438,10 +436,10 @@ def _problem_b5(F: PsFun, W_A: WClass, W_B: WClass) -> _Problem:
     def holds(u: tuple, w: tuple) -> bool:
         f1, f2, al = u
         v_a, alpha_a = w
-        inv1 = two_cell_inverse(tgt, F.psi[(f1, v_a)])
-        if inv1 is None:
+        try:
+            rhs = conjugate(F, alpha_a, f1, v_a, f2, v_a)
+        except InvertibilityError:
             return False
-        rhs = vcompose_all(tgt, [inv1, F.f2[alpha_a], F.psi[(f2, v_a)]])
         return whisker_right(tgt, al, F.f1[v_a]) == rhs
 
     return _Problem(universals, candidates, holds)
@@ -822,8 +820,6 @@ def cross_validate_theorems(F: PsFun, W_A: WClass, W_B: WClass) -> TheoremReport
     Disagreements are reported as findings; skips are not failures.  Each
     family is decided at most once per call.
     """
-    from .fractions import LocalizationError
-
     subchecks: list[SubCheck] = []
     findings: list[str] = []
 

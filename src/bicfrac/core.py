@@ -316,16 +316,6 @@ def hcompose2(B: FinBicat, beta: str, alpha: str) -> str:
     return vcompose(B, whisker_right(B, beta, f_tgt), whisker_left(B, g, alpha))
 
 
-def vcompose_all(B: FinBicat, factors: list[str]) -> str:
-    """Vertical composite of 2-cell ids listed in application order."""
-    if not factors:
-        raise CompositionError("empty vertical chain")
-    out = factors[0]
-    for nxt in factors[1:]:
-        out = vcompose(B, nxt, out)
-    return out
-
-
 def two_cell_inverse(B: FinBicat, alpha: str) -> Optional[str]:
     """The unique vertical inverse of ``alpha``, or None. Results are cached."""
     cache = B._cache["inverse"]

@@ -37,6 +37,14 @@ Every restriction of a 2-cell along a refinement leg is made once per
 build, in one memo that all the searches read, and each side of the witness
 search's equation, which depends on one representative, is evaluated once
 per build, shared by every pair of every frame.
+
+`universal_pseudofunctor` maps the base into its localization, and
+`induce_g_tilde` lifts a pseudofunctor to the localizations (the source at
+its class, the target at the right saturation of its class): spans map
+legwise, a 2-cell class maps through `g_tilde_on_two_cell`, which conjugates
+its representative by the compositor (`psfun.conjugate`), and each
+comparison cell of the lift is, like each associator and unitor, the least
+invertible class of its frame.  The lift is validated before it is returned.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ from .core import (
     whisker_left,
     whisker_right,
 )
+from .psfun import PsFun, PsFunReport, conjugate, maps_into, validate_psfun
 from .wclass import WClass, check_bf, find_bf3_filler, saturate
 
 
@@ -104,6 +113,14 @@ class LocalizationError(RuntimeError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+def _least_invertible(B: FinBicat, src: str, tgt: str, context: str) -> str:
+    """Least invertible 2-cell ``src ⇒ tgt`` of ``B``, else `LocalizationError`."""
+    found = inv_cells2(B, src, tgt)
+    if not found:
+        raise LocalizationError(f"no invertible class for {context}: {src!r} ⇒ {tgt!r}")
+    return found[0]
 
 
 @dataclass(frozen=True)
@@ -645,22 +662,15 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
             hcomp1[(b.src, f.id)], hcomp1[(b.tgt, f.id)]
         ) or whisker_class(c.src, c.tgt, sids[f.id], sids[f.id], c.rep, None)
 
-    def invertible_class(src_sid: str, tgt_sid: str, context: str) -> str:
-        """Least class in the frame that is invertible for the built tables."""
-        found = inv_cells2(mat, src_sid, tgt_sid)
-        if not found:
-            raise LocalizationError(f"no invertible class for {context}: {src_sid!r} ⇒ {tgt_sid!r}")
-        return found[0]
-
     # Inverses depend only on id2 and vcomp, so the coherence tables can be
     # filled in from the localization's own inverse search.
     for h, g, f in composable_triples(mat):
         lhs = hcomp1[(h.id, hcomp1[(g.id, f.id)])]
         rhs = hcomp1[(hcomp1[(h.id, g.id)], f.id)]
-        mat.assoc[(h.id, g.id, f.id)] = invertible_class(lhs, rhs, "associator")
+        mat.assoc[(h.id, g.id, f.id)] = _least_invertible(mat, lhs, rhs, "associator")
     for c in mat.one_cells:
-        mat.runit[c.id] = invertible_class(hcomp1[(c.id, id1[c.src])], c.id, "right unitor")
-        mat.lunit[c.id] = invertible_class(hcomp1[(id1[c.tgt], c.id)], c.id, "left unitor")
+        mat.runit[c.id] = _least_invertible(mat, hcomp1[(c.id, id1[c.src])], c.id, "right unitor")
+        mat.lunit[c.id] = _least_invertible(mat, hcomp1[(id1[c.tgt], c.id)], c.id, "left unitor")
     mat.strict = _components_identity(mat)
 
     return Localization(
@@ -674,11 +684,13 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
     )
 
 
-def universal_functor_data(loc: Localization):
-    """Tables of the canonical pseudofunctor from the base into the localization.
+def universal_pseudofunctor(loc: Localization) -> PsFun:
+    """The canonical pseudofunctor from the base into its localization.
 
-    Returns ``(f0, f1, f2, psi, sigma)`` as plain dicts; `bicfrac.psfun`
-    wraps them into its pseudofunctor record.
+    Objects are fixed, a 1-cell ``f`` becomes the span with identity
+    backward leg and forward leg ``f``, a 2-cell becomes the class of its
+    right whiskering by the identity, and the compositor at ``(g, f)`` is
+    built constructively from the filler square the composition table chose.
     """
     B = loc.base
     f0 = {X: X for X in B.objects}
@@ -723,22 +735,8 @@ def universal_functor_data(loc: Localization):
     sigma = {}
     for X in B.objects:
         sigma[X] = loc.bicat.id2[loc.bicat.id1[X]]
-    return f0, f1, f2, psi, sigma
-
-
-def universal_pseudofunctor(loc: Localization):
-    """The canonical pseudofunctor from the base into its localization.
-
-    Objects are fixed, a 1-cell ``f`` becomes the span with identity
-    backward leg and forward leg ``f``, a 2-cell becomes the class of its
-    right whiskering by the identity, and the compositor at ``(g, f)`` is
-    built constructively from the filler square the composition table chose.
-    """
-    from .psfun import PsFun
-
-    f0, f1, f2, psi, sigma = universal_functor_data(loc)
     return PsFun(
-        source=loc.base,
+        source=B,
         target=loc.bicat,
         f0=f0,
         f1=f1,
@@ -747,3 +745,110 @@ def universal_pseudofunctor(loc: Localization):
         sigma=sigma,
         name=f"U[{loc.bicat.name}]",
     )
+
+
+# -- lifting to localizations ------------------------------------------------
+
+
+@dataclass
+class GTildeResult:
+    psfun: PsFun
+    source_loc: Localization
+    target_loc: Localization
+    report: PsFunReport
+
+
+def g_tilde_on_two_cell(F: PsFun, source_loc: Localization, target_loc: Localization, class_id: str) -> str:
+    """Image in the target localization of a source-localization 2-cell.
+
+    The canonical representative ``(E, l1, l2, a, b)`` of the class is mapped
+    legwise through ``F``, with the representative 2-cells conjugated by the
+    compositor (`psfun.conjugate`) so that they connect the composite legs of
+    the image spans.
+    """
+    cls = source_loc.cls(class_id)
+    S1, S2 = cls.src, cls.tgt
+    r = cls.rep
+    image = TwoCellRep(
+        F.f0[r.apex],
+        F.f1[r.leg1],
+        F.f1[r.leg2],
+        conjugate(F, r.alpha, S1.back, r.leg1, S2.back, r.leg2),
+        conjugate(F, r.beta, S1.forward, r.leg1, S2.forward, r.leg2),
+    )
+    img_src = Span(F.f0[S1.apex], F.f1[S1.back], F.f1[S1.forward])
+    img_tgt = Span(F.f0[S2.apex], F.f1[S2.back], F.f1[S2.forward])
+    return target_loc.class_of(img_src, img_tgt, image)
+
+
+def induce_g_tilde(
+    F: PsFun,
+    W_src: WClass,
+    W_tgt: WClass,
+    *,
+    source_loc: Optional[Localization] = None,
+    target_loc: Optional[Localization] = None,
+) -> GTildeResult:
+    """Lift ``F`` to a pseudofunctor between localizations.
+
+    The source is localized at ``W_src`` and the target at the right
+    saturation of ``W_tgt``; ``F`` must already send ``W_src`` into that
+    saturation.  Comparison cells of the lift are the least invertible class
+    of their frame, and the whole lift is validated before returning.
+    A localization not passed in comes from `materialize_fractions`, which
+    returns the one a caller already holds; one passed in must be of ``F``'s
+    own source or target at exactly that class, else `PreconditionError`.
+    """
+    report = validate_psfun(F)
+    if not report.passed:
+        raise PreconditionError("pseudofunctor fails validation; cannot lift")
+    sat = saturate(F.target, W_tgt).members
+    ok, escape = maps_into(F, W_src, sat)
+    if not ok:
+        raise PreconditionError(
+            f"image of {escape!r} is outside the saturated target class"
+        )
+    for side, loc, base, W in (("source", source_loc, F.source, W_src), ("target", target_loc, F.target, sat)):
+        if loc is not None and (loc.base is not base or loc.wcls.members != W.members):
+            raise PreconditionError(f"{side} localization is not the map's {side} at {sorted(W.members)!r}")
+    if source_loc is None:
+        source_loc = materialize_fractions(F.source, W_src)
+    if target_loc is None:
+        target_loc = materialize_fractions(F.target, sat)
+
+    SB, TB = source_loc.bicat, target_loc.bicat
+    f0 = {x: F.f0[x] for x in SB.objects}
+    f1 = {}
+    for sid in (c.id for c in SB.one_cells):
+        s = source_loc.span(sid)
+        f1[sid] = target_loc.sid(
+            Span(F.f0[s.apex], F.f1[s.back], F.f1[s.forward])
+        )
+    f2 = {}
+    for t in SB.two_cells:
+        f2[t.id] = g_tilde_on_two_cell(F, source_loc, target_loc, t.id)
+
+    psi = {}
+    for g, f in composable_pairs(SB):
+        src_cell = f1[SB.hcomp1[(g.id, f.id)]]
+        tgt_cell = TB.hcomp1[(f1[g.id], f1[f.id])]
+        psi[(g.id, f.id)] = _least_invertible(TB, src_cell, tgt_cell, "compositor")
+    sigma = {}
+    for x in SB.objects:
+        sigma[x] = _least_invertible(TB, f1[SB.id1[x]], TB.id1[f0[x]], "unit comparison")
+
+    lifted = PsFun(
+        source=SB,
+        target=TB,
+        f0=f0,
+        f1=f1,
+        f2=f2,
+        psi=psi,
+        sigma=sigma,
+        name=f"{F.name}~" if F.name else "lift",
+    )
+    lift_report = validate_psfun(lifted)
+    if not lift_report.passed:
+        laws = ", ".join(sorted(lift_report.laws_failed()))
+        raise LocalizationError(f"lifted pseudofunctor violates: {laws}")
+    return GTildeResult(lifted, source_loc, target_loc, lift_report)

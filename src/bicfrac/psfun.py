@@ -6,15 +6,8 @@ compositor ``psi[(g, f)]: F(g∘f) ⇒ F(g)∘F(f)`` and the unit comparison
 definition exhaustively: totality and boundary preservation, strict
 functoriality on 2-cells, invertibility of the comparison cells, naturality
 of the compositor in both arguments at once, the associativity hexagon and
-both unit triangles.
-
-`induce_g_tilde` lifts a pseudofunctor to the localizations: the source is
-localized at its class, the target at the right saturation of its class,
-1-cells of spans are mapped legwise, 2-cell classes are mapped through
-`g_tilde_on_two_cell` (conjugating the representative data by the
-compositor), and the comparison cells of the lift are found by searching
-each frame for its least invertible class.  The resulting pseudofunctor is
-validated before being returned.
+both unit triangles.  `conjugate` carries a 2-cell between composites to
+one between the composites of their images, through the compositor.
 """
 
 from __future__ import annotations
@@ -26,23 +19,22 @@ from typing import Optional
 from .core import (
     FinBicat,
     Violation,
-    PreconditionError,
     composable_pairs,
     composable_triples,
     has_reverse,
     hcompose2,
-    inv_cells2,
+    inverse_cell,
     is_invertible2,
     structural_violations,
     table_violations,
     two_cell_inverse,
     vcompose,
-    vcompose_all,
     vertical_pairs,
+    vfold,
     whisker_left,
     whisker_right,
 )
-from .wclass import WClass, saturate
+from .wclass import WClass
 
 
 @dataclass
@@ -174,37 +166,33 @@ def _psfun_law_violations(F: PsFun) -> list[Violation]:
     for h, g, f in composable_triples(S):
         hg = S.hcomp1[(h.id, g.id)]
         gf = S.hcomp1[(g.id, f.id)]
-        route1 = vcompose_all(T, [
+        route1 = vfold(
+            T,
             F.f2[S.assoc[(h.id, g.id, f.id)]],
             F.psi[(hg, f.id)],
             whisker_right(T, F.psi[(h.id, g.id)], F.f1[f.id]),
-        ])
-        route2 = vcompose_all(T, [
+        )
+        route2 = vfold(
+            T,
             F.psi[(h.id, gf)],
             whisker_left(T, F.f1[h.id], F.psi[(g.id, f.id)]),
             T.assoc[(F.f1[h.id], F.f1[g.id], F.f1[f.id])],
-        ])
+        )
         if route1 != route2:
             add(Violation("psfun:hexagon", (h.id, g.id, f.id), ""))
 
     for c in S.one_cells:
         fid = F.f1[c.id]
         ida = S.id1[c.src]
-        lhs = vcompose_all(T, [
-            whisker_left(T, fid, F.sigma[c.src]),
-            T.runit[fid],
-        ])
+        lhs = vfold(T, whisker_left(T, fid, F.sigma[c.src]), T.runit[fid])
         psi_inv = two_cell_inverse(T, F.psi[(c.id, ida)])
-        rhs = vcompose_all(T, [psi_inv, F.f2[S.runit[c.id]]])
+        rhs = vfold(T, psi_inv, F.f2[S.runit[c.id]])
         if lhs != rhs:
             add(Violation("psfun:right-unit", (c.id,), ""))
         idb = S.id1[c.tgt]
-        lhs = vcompose_all(T, [
-            whisker_right(T, F.sigma[c.tgt], fid),
-            T.lunit[fid],
-        ])
+        lhs = vfold(T, whisker_right(T, F.sigma[c.tgt], fid), T.lunit[fid])
         psi_inv = two_cell_inverse(T, F.psi[(idb, c.id)])
-        rhs = vcompose_all(T, [psi_inv, F.f2[S.lunit[c.id]]])
+        rhs = vfold(T, psi_inv, F.f2[S.lunit[c.id]])
         if lhs != rhs:
             add(Violation("psfun:left-unit", (c.id,), ""))
     return out
@@ -246,126 +234,11 @@ def maps_into(F: PsFun, W_src: WClass, W_tgt: WClass) -> tuple[bool, Optional[st
     return True, None
 
 
-# -- lifting to localizations ------------------------------------------------
+def conjugate(F: PsFun, a: str, g1: str, f1: str, g2: str, f2: str) -> str:
+    """``psi[(g2, f2)] ⊙ F(a) ⊙ psi[(g1, f1)]⁻¹``: ``F(a)`` between composite images.
 
-
-@dataclass
-class GTildeResult:
-    psfun: PsFun
-    source_loc: object
-    target_loc: object
-    report: PsFunReport
-
-
-def g_tilde_on_two_cell(
-    F: PsFun, source_loc, target_loc, class_id: str
-) -> str:
-    """Image in the target localization of a source-localization 2-cell.
-
-    The canonical representative ``(E, l1, l2, a, b)`` of the class is mapped
-    legwise through ``F``, with the representative 2-cells conjugated by the
-    compositor so that they connect the composite legs of the image spans.
+    For ``a: g1∘f1 ⇒ g2∘f2`` this runs ``F(g1)∘F(f1) ⇒ F(g2)∘F(f2)``;
+    `InvertibilityError` when ``psi[(g1, f1)]`` has no inverse.
     """
-    from .fractions import Span, TwoCellRep
-
-    cls = source_loc.cls(class_id)
-    S1, S2 = cls.src, cls.tgt
-    r = cls.rep
     T = F.target
-
-    def conj(back1: str, back2: str, mid: str) -> str:
-        pre = two_cell_inverse(T, F.psi[(back1, r.leg1)])
-        post = F.psi[(back2, r.leg2)]
-        return vcompose_all(T, [pre, F.f2[mid], post])
-
-    image = TwoCellRep(
-        F.f0[r.apex],
-        F.f1[r.leg1],
-        F.f1[r.leg2],
-        conj(S1.back, S2.back, r.alpha),
-        conj(S1.forward, S2.forward, r.beta),
-    )
-    img_src = Span(F.f0[S1.apex], F.f1[S1.back], F.f1[S1.forward])
-    img_tgt = Span(F.f0[S2.apex], F.f1[S2.back], F.f1[S2.forward])
-    return target_loc.class_of(img_src, img_tgt, image)
-
-
-def induce_g_tilde(
-    F: PsFun,
-    W_src: WClass,
-    W_tgt: WClass,
-    *,
-    source_loc=None,
-    target_loc=None,
-) -> GTildeResult:
-    """Lift ``F`` to a pseudofunctor between localizations.
-
-    The source is localized at ``W_src`` and the target at the right
-    saturation of ``W_tgt``; ``F`` must already send ``W_src`` into that
-    saturation.  Comparison cells of the lift are the least invertible class
-    of their frame, and the whole lift is validated before returning.
-    A localization not passed in comes from `materialize_fractions`, which
-    returns the one a caller already holds.
-    """
-    from .fractions import LocalizationError, Span, materialize_fractions
-
-    report = validate_psfun(F)
-    if not report.passed:
-        raise PreconditionError("pseudofunctor fails validation; cannot lift")
-    sat = saturate(F.target, W_tgt).members
-    ok, escape = maps_into(F, W_src, sat)
-    if not ok:
-        raise PreconditionError(
-            f"image of {escape!r} is outside the saturated target class"
-        )
-    if source_loc is None:
-        source_loc = materialize_fractions(F.source, W_src)
-    if target_loc is None:
-        target_loc = materialize_fractions(F.target, sat)
-
-    SB, TB = source_loc.bicat, target_loc.bicat
-    f0 = {x: F.f0[x] for x in SB.objects}
-    f1 = {}
-    for sid in (c.id for c in SB.one_cells):
-        s = source_loc.span(sid)
-        f1[sid] = target_loc.sid(
-            Span(F.f0[s.apex], F.f1[s.back], F.f1[s.forward])
-        )
-    f2 = {}
-    for t in SB.two_cells:
-        f2[t.id] = g_tilde_on_two_cell(F, source_loc, target_loc, t.id)
-
-    psi = {}
-    for g, f in composable_pairs(SB):
-        src_cell = f1[SB.hcomp1[(g.id, f.id)]]
-        tgt_cell = TB.hcomp1[(f1[g.id], f1[f.id])]
-        cands = inv_cells2(TB, src_cell, tgt_cell)
-        if not cands:
-            raise LocalizationError(
-                f"no invertible comparison class at ({g.id!r}, {f.id!r})"
-            )
-        psi[(g.id, f.id)] = cands[0]
-    sigma = {}
-    for x in SB.objects:
-        src_cell = f1[SB.id1[x]]
-        tgt_cell = TB.id1[f0[x]]
-        cands = inv_cells2(TB, src_cell, tgt_cell)
-        if not cands:
-            raise LocalizationError(f"no invertible unit comparison at {x!r}")
-        sigma[x] = cands[0]
-
-    lifted = PsFun(
-        source=SB,
-        target=TB,
-        f0=f0,
-        f1=f1,
-        f2=f2,
-        psi=psi,
-        sigma=sigma,
-        name=f"{F.name}~" if F.name else "lift",
-    )
-    lift_report = validate_psfun(lifted)
-    if not lift_report.passed:
-        laws = ", ".join(sorted(lift_report.laws_failed()))
-        raise LocalizationError(f"lifted pseudofunctor violates: {laws}")
-    return GTildeResult(lifted, source_loc, target_loc, lift_report)
+    return vfold(T, inverse_cell(T, F.psi[(g1, f1)]), F.f2[a], F.psi[(g2, f2)])

@@ -35,7 +35,7 @@ from .core import (
     inv_cells2,
     internal_equivalences,
     two_cell_inverse,
-    vcompose_all,
+    vfold,
     whisker_left,
     whisker_right,
 )
@@ -160,7 +160,7 @@ def _bf4_solutions(
         theta_g = B.assoc[(w, g, v)]
         out += [
             (D, v, beta) for beta in betas
-            if vcompose_all(B, [theta_f_inv, whisker_left(B, w, beta), theta_g]) == lhs
+            if vfold(B, theta_f_inv, whisker_left(B, w, beta), theta_g) == lhs
         ]
     return tuple(out)
 
@@ -203,15 +203,16 @@ def _bf4c_refinement(
                 if _one_cell(B, f_vu, H[(g, v2u2)]):
                     return (E, u, u2, zetas[0])
                 if prefix is None:
-                    prefix = vcompose_all(B, [B.assoc[(f, v1, u)], whisker_right(B, b1, u), th_g_inv])
+                    prefix = vfold(B, B.assoc[(f, v1, u)], whisker_right(B, b1, u), th_g_inv)
                 for zeta in zetas:
-                    lhs = vcompose_all(B, [prefix, whisker_left(B, g, zeta)])
-                    rhs = vcompose_all(B, [
+                    lhs = vfold(B, prefix, whisker_left(B, g, zeta))
+                    rhs = vfold(
+                        B,
                         whisker_left(B, f, zeta),
                         B.assoc[(f, v2, u2)],
                         whisker_right(B, b2, u2),
                         th_g2_inv,
-                    ])
+                    )
                     if lhs == rhs:
                         return (E, u, u2, zeta)
     return None

@@ -11,9 +11,9 @@ from bicfrac.builders import appendix_toy, theorem_suite, toy_classes
 from bicfrac.cli import run_command
 from bicfrac.conditions import check_A, check_B, check_EF, is_weak_equivalence
 from bicfrac.core import PreconditionError, hcompose1, internal_equivalences, validate_bicat
-from bicfrac.fractions import materialize_fractions, universal_pseudofunctor
+from bicfrac.fractions import induce_g_tilde, materialize_fractions, universal_pseudofunctor
 from bicfrac.presentation import load_document
-from bicfrac.psfun import identity_psfun, induce_g_tilde
+from bicfrac.psfun import identity_psfun
 from bicfrac.wclass import WClass, check_bf, quasi_units, saturate
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "bicfrac" / "fixtures"

@@ -19,7 +19,7 @@ from bicfrac.core import (
     two_cell_inverse,
     validate_bicat,
     vcompose,
-    vcompose_all,
+    vfold,
     whisker_left,
     whisker_right,
 )
@@ -71,7 +71,7 @@ def test_cell_operations(toy):
     assert vcompose(toy, "loop", "loop") == "iB"
     assert whisker_left(toy, "idB", "loop") == "loop"
     assert whisker_right(toy, "loop", "v") == "iv"
-    assert vcompose_all(toy, ["loop", "loop", "loop"]) == "loop"
+    assert vfold(toy, "loop", "loop", "loop") == "loop"
 
 
 def test_horizontal_composition_of_two_cells(toy):

@@ -33,6 +33,7 @@ from bicfrac.fractions import (
     compose_spans,
     enumerate_reps,
     enumerate_spans,
+    induce_g_tilde,
     materialize_fractions,
     rep_equivalence_witness,
     rep_sort_key,
@@ -42,7 +43,7 @@ from bicfrac.fractions import (
 )
 from bicfrac.conditions import cross_validate_theorems
 from bicfrac.presentation import Presentation, export_presentation, load_document
-from bicfrac.psfun import identity_psfun, induce_g_tilde
+from bicfrac.psfun import identity_psfun
 from bicfrac.wclass import WClass, check_bf, quasi_units, saturate
 from pasting_reference import Assoc, AssocInv, Atom, WhiskL, WhiskR, eval_pasting, vchain
 import whisker_reference

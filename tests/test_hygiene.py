@@ -39,3 +39,31 @@ def test_library_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_modules_use_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_level_imports(source: str) -> list[int]:
+    """Lines of every import made inside a function body, in order.
+
+    Library modules import at module top only, so no import cycle between
+    them can hide in a function that defers its import to run time.
+    """
+    tree = ast.parse(source)
+    return sorted({
+        node.lineno
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_the_check_finds_a_planted_function_level_import():
+    source = (
+        "import os\n"
+        "def f():\n    from .psfun import PsFun\n    return PsFun\n"
+        "class C:\n    def g(self):\n        def h():\n            import sys\n        return h\n"
+    )
+    assert function_level_imports(source) == [3, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_modules_import_only_at_module_top(path):
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []

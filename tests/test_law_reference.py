@@ -38,7 +38,6 @@ from bicfrac.core import (
     two_cell_inverse,
     validate_bicat,
     vcompose,
-    vcompose_all,
     whisker_left,
     whisker_right,
 )
@@ -46,6 +45,14 @@ from bicfrac.fractions import materialize_fractions
 from bicfrac.psfun import PsFun, identity_psfun, validate_psfun
 from bicfrac.wclass import WClass
 from test_fractions import bench_corpus
+
+
+def vcompose_all(B: FinBicat, factors: list[str]) -> str:
+    """Vertical composite of 2-cell ids in application order, unchecked, as the reference had it."""
+    out = factors[0]
+    for nxt in factors[1:]:
+        out = vcompose(B, nxt, out)
+    return out
 
 
 def reference_law_violations(B: FinBicat) -> list[Violation]:

@@ -10,6 +10,8 @@ from bicfrac.builders import (
     collapse_loop,
     discrete2,
     fold_discrete2,
+    iso2,
+    iso2_classes,
     point_into_discrete2,
     toy_classes,
     toyq,
@@ -17,13 +19,8 @@ from bicfrac.builders import (
     trivial_one,
 )
 from bicfrac.core import PreconditionError, validate_bicat, vertical_pairs
-from bicfrac.psfun import (
-    g_tilde_on_two_cell,
-    identity_psfun,
-    induce_g_tilde,
-    maps_into,
-    validate_psfun,
-)
+from bicfrac.fractions import g_tilde_on_two_cell, induce_g_tilde, materialize_fractions
+from bicfrac.psfun import identity_psfun, maps_into, validate_psfun
 from bicfrac.wclass import internal_equivalences_class, saturate
 from test_fractions import bench_corpus
 
@@ -118,6 +115,24 @@ def test_lift_two_cell_images_respect_composition(toy, classes):
 def test_lift_requires_class_transport(toy, classes):
     with pytest.raises(PreconditionError):
         induce_g_tilde(identity_psfun(toy), classes["W"], classes["Wmin"])
+
+
+def test_lift_refuses_a_localization_of_another_base_or_class():
+    B = iso2()
+    F = identity_psfun(B)
+    cls = iso2_classes(B)
+    W, Wmin = cls["W"], cls["Wmin"]
+    # The target must be localized at sat(Wmin) = W, not at Wmin itself.
+    with pytest.raises(PreconditionError, match="target localization"):
+        induce_g_tilde(F, Wmin, Wmin, target_loc=materialize_fractions(B, Wmin))
+    with pytest.raises(PreconditionError, match="source localization"):
+        induce_g_tilde(F, Wmin, W, source_loc=materialize_fractions(B, W))
+    toy = appendix_toy()
+    with pytest.raises(PreconditionError, match="source localization"):
+        induce_g_tilde(F, Wmin, W, source_loc=materialize_fractions(toy, toy_classes(toy)["Wmin"]))
+    res = induce_g_tilde(F, Wmin, Wmin, source_loc=materialize_fractions(B, Wmin),
+                         target_loc=materialize_fractions(B, W))
+    assert res.report.passed
 
 
 def test_collapse_lift_between_quotients(toy):

@@ -129,7 +129,7 @@ def test_each_refinement_is_decided_once_per_report(monkeypatch):
 
 def test_a_thin_base_composes_no_bf4_equation(monkeypatch):
     L = chain_localization(4)
-    composed = count_calls(monkeypatch, "vcompose_all")
+    composed = count_calls(monkeypatch, "vfold")
     report = check_bf(L, WClass(frozenset(c.id for c in L.one_cells), "all"))
     assert report.passed and report["BF4"].clauses["c"].checked == 27474
     assert composed == []
@@ -211,7 +211,7 @@ def test_the_pinned_reports_decide_bf4_equations_both_ways(monkeypatch):
         return one
 
     monkeypatch.setattr(wclass, "_one_cell", counted)
-    composed = count_calls(monkeypatch, "vcompose_all")
+    composed = count_calls(monkeypatch, "vfold")
     for B, W in bf_cases():
         check_bf(B, W)
     assert frames[True] > 0 and frames[False] > 0 and len(composed) > 0
