@@ -3,12 +3,13 @@
 For each fixture document and each class it declares, runs ``bicfrac`` in a
 fresh process and writes the exit code, stdout and stderr of every command
 to one file under ``OUTDIR/<fixture>/``, plus each document that
-``localize --out`` writes.  The commands are ``validate`` (text and
-machine), ``check-bf``, ``saturate`` and ``localize --out`` at each class,
-``check --conditions all --psfun identity`` and ``cross-validate`` at each
-class pair, ``check --conditions B --psfun UW`` at each class, and
-``demo appendix-toy``.  A fixture that declares no class runs the
-class-taking commands once without ``--class``.
+``localize --out`` writes.  The commands are ``validate``, ``check-bf``,
+``saturate`` and ``localize --out`` at each class, ``check --conditions all
+--psfun identity`` and ``cross-validate`` at each class pair, ``check
+--conditions B --psfun UW`` at each class, and ``demo appendix-toy``, each
+run once with text output and once with ``--format machine``.  A fixture
+that declares no class runs the class-taking commands once without
+``--class``.
 
 Run it at two commits and compare the directories; any difference is a
 change in what a user sees:
@@ -39,7 +40,7 @@ def commands(doc_name: str, classes: list[str]) -> list[list[str]]:
     pairs = [
         ["--class-src", s, "--class-tgt", t] for s in classes for t in classes
     ] or [[]]
-    out = [["validate", doc_name], ["validate", doc_name, "--format", "machine"]]
+    out = [["validate", doc_name]]
     for opt in one:
         out.append(["check-bf", doc_name, *opt])
         out.append(["saturate", doc_name, *opt])
@@ -59,23 +60,24 @@ def slug(argv: list[str]) -> str:
     return "_".join(w for w in words if w)
 
 
-def run(argv: list[str], cwd: Path, dest: Path) -> None:
-    """Run ``bicfrac <argv>`` in ``cwd`` and record it as ``dest/<slug>``."""
+def run(cmd: list[str], cwd: Path, dest: Path) -> None:
+    """Run ``bicfrac <cmd>`` in ``cwd`` in both formats, recording each as ``dest/<slug>``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bicfrac", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True,
-    )
-    name = slug(argv)
-    dest.mkdir(parents=True, exist_ok=True)
-    (dest / f"{name}.txt").write_text(
-        f"$ bicfrac {' '.join(argv)}\nexit {proc.returncode}\n"
-        f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}",
-        encoding="utf-8",
-    )
-    written = cwd / OUT_NAME
-    if written.exists():
-        shutil.move(written, dest / f"{name}.written.json")
+    for argv in (cmd, [*cmd, "--format", "machine"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicfrac", *argv],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+        name = slug(argv)
+        dest.mkdir(parents=True, exist_ok=True)
+        (dest / f"{name}.txt").write_text(
+            f"$ bicfrac {' '.join(argv)}\nexit {proc.returncode}\n"
+            f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}",
+            encoding="utf-8",
+        )
+        written = cwd / OUT_NAME
+        if written.exists():
+            shutil.move(written, dest / f"{name}.written.json")
 
 
 def main(argv: list[str]) -> int:

@@ -8,11 +8,12 @@ runs the law checker, ``check-bf`` and ``saturate`` work on a named
 ``demo appendix-toy`` walks the shipped two-object example end to end.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 for usage or document errors, 3 when a precondition is violated.  A
+2 for usage or document errors, 3 when a precondition is violated (among
+them a lawless bicategory, or a map that is not a pseudofunctor).  A
 reader that closes the output early (``| head``) ends the command with exit
 code 1 and nothing on stderr.
 Reports are plain text by default; ``--format machine`` emits one JSON
-object mirroring the report dataclasses.
+object holding the library's report dataclasses, by `dataclasses.asdict`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -35,7 +37,7 @@ from .presentation import (
     load_document,
     parse_presentation,
 )
-from .psfun import identity_psfun, validate_psfun
+from .psfun import identity_psfun, require_pseudofunctor, validate_psfun
 from .wclass import WClass, check_bf, saturate
 
 
@@ -133,17 +135,6 @@ def _pick_class(classes: dict[str, WClass], name: Optional[str], where: str) -> 
     raise UsageError(f"{where} declares no class 'W'; pass one explicitly")
 
 
-def _json_report(r: ConditionReport) -> dict:
-    return {
-        "tag": r.tag,
-        "holds": r.holds,
-        "witness": list(map(list, r.witness)) if r.witness is not None else None,
-        "counterexample": list(r.counterexample) if r.counterexample is not None else None,
-        "examined": r.examined,
-        "detail": r.detail,
-    }
-
-
 def _show_report(r: ConditionReport, out: list[str]) -> None:
     mark = "pass" if r.holds else "FAIL"
     out.append(f"  [{mark}] {r.tag} (candidates examined: {r.examined})")
@@ -167,10 +158,10 @@ def _law_check(what: str, violations: list, text: list[str], sizes: str = "") ->
     else:
         text.append(f"  {what}: {len(violations)} violation(s)")
         text.extend(f"    {v.law} at {v.cells}: {v.detail}" for v in violations[:20])
-    return [{"law": v.law, "cells": list(v.cells), "detail": v.detail} for v in violations]
+    return [asdict(v) for v in violations]
 
 
-def _cmd_validate(args) -> tuple[int, dict, list[str]]:
+def _cmd_validate(args) -> tuple[dict, list[str]]:
     pres = _load(args.file)
     B = pres.bicat
     rep = validate_bicat(B)
@@ -196,10 +187,10 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
         ok = ok and frep.passed
     text.append("PASS" if ok else "FAIL")
     payload["passed"] = ok
-    return (0 if ok else 1), payload, text
+    return payload, text
 
 
-def _cmd_check_bf(args) -> tuple[int, dict, list[str]]:
+def _cmd_check_bf(args) -> tuple[dict, list[str]]:
     pres = _load(args.file)
     B = pres.bicat
     W = _pick_class(pres.classes, args.wname, args.file)
@@ -208,14 +199,7 @@ def _cmd_check_bf(args) -> tuple[int, dict, list[str]]:
     text = [f"check-bf {args.file} --class {W.name}"]
     verdicts = []
     for v in rep.verdicts.values():
-        verdicts.append({
-            "axiom": v.axiom,
-            "holds": v.holds,
-            "witness": list(v.witness) if v.witness is not None else None,
-            "counterexample": list(v.counterexample) if v.counterexample is not None else None,
-            "detail": v.detail,
-            "checked": v.checked,
-        })
+        verdicts.append({k: x for k, x in asdict(v).items() if k != "clauses"})
         mark = "pass" if v.holds else "FAIL"
         line = f"  [{mark}] {v.axiom}"
         if not v.holds and v.counterexample is not None:
@@ -231,10 +215,10 @@ def _cmd_check_bf(args) -> tuple[int, dict, list[str]]:
         "passed": rep.passed,
         "verdicts": verdicts,
     }
-    return (0 if rep.passed else 1), payload, text
+    return payload, text
 
 
-def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
+def _cmd_saturate(args) -> tuple[dict, list[str]]:
     pres = _load(args.file)
     B = pres.bicat
     W = _pick_class(pres.classes, args.wname, args.file)
@@ -258,10 +242,10 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
         "added": grew,
         "witnesses": {f: list(res.witnesses[f]) for f in members},
     }
-    return 0, payload, text
+    return payload, text
 
 
-def _cmd_localize(args) -> tuple[int, dict, list[str]]:
+def _cmd_localize(args) -> tuple[dict, list[str]]:
     pres = _load(args.file)
     W = _pick_class(pres.classes, args.wname, args.file)
     loc = materialize_fractions(pres.bicat, W)
@@ -286,22 +270,23 @@ def _cmd_localize(args) -> tuple[int, dict, list[str]]:
         Path(args.out).write_text(export_presentation(out_pres), encoding="utf-8")
         text.append(f"  written to {args.out}")
     text.append("PASS")
-    return 0, payload, text
+    return payload, text
 
 
-def _families(which: str) -> list[str]:
-    return ["A", "B", "EF", "X"] if which == "all" else [which]
+def _resolve_check(
+    pres: Presentation, file: str, name: str, wsrc: Optional[str], wtgt: Optional[str]
+):
+    """The pseudofunctor and classes a ``check`` invocation refers to.
 
-
-def _resolve_check(args, pres: Presentation):
-    """The pseudofunctor and classes a ``check`` invocation refers to."""
+    A map whose source or target is lawless, or that is not a pseudofunctor,
+    raises `PreconditionError` naming the laws it breaks.
+    """
     B = pres.bicat
-    name = args.psfun
-    if args.wsrc is not None:
-        w_src = _pick_class(pres.classes, args.wsrc, args.file)
+    if wsrc is not None:
+        w_src = _pick_class(pres.classes, wsrc, file)
     else:
         try:
-            w_src = _pick_class(pres.classes, None, args.file)
+            w_src = _pick_class(pres.classes, None, file)
         except UsageError:
             w_src = None
     if name == "identity":
@@ -319,34 +304,34 @@ def _resolve_check(args, pres: Presentation):
         tgt_classes = pres.classes if tref == "self" else pres.ref_docs[tref].classes
     else:
         raise UsageError(
-            f"{args.file} declares no pseudofunctor {args.psfun!r} "
+            f"{file} declares no pseudofunctor {name!r} "
             f"(has: {', '.join(sorted(pres.psfuns)) or 'none'}; "
             "'identity' and 'UW' are always available)"
         )
+    require_lawful(F.source, "source bicategory")
+    require_lawful(F.target, "target bicategory")
+    require_pseudofunctor(F, f"pseudofunctor {name!r}")
 
     def target_class() -> WClass:
         if name == "UW":
-            base = (
-                _pick_class(pres.classes, args.wtgt, args.file)
-                if args.wtgt is not None
-                else w_src
-            )
+            base = _pick_class(pres.classes, wtgt, file) if wtgt is not None else w_src
             return WClass(
                 frozenset(F.f1[w] for w in base.members), f"U({base.name})"
             )
         if tgt_classes is None or not tgt_classes:
             raise UsageError("the target document declares no classes (--class-tgt)")
-        return _pick_class(tgt_classes, args.wtgt, "target document")
+        return _pick_class(tgt_classes, wtgt, "target document")
 
     return F, w_src, target_class
 
 
-def _cmd_check(args) -> tuple[int, dict, list[str]]:
-    pres = _load(args.file)
-    F, w_src, target_class = _resolve_check(args, pres)
+def _cmd_check(args) -> tuple[dict, list[str]]:
+    F, w_src, target_class = _resolve_check(
+        _load(args.file), args.file, args.psfun, args.wsrc, args.wtgt
+    )
     text = [f"check {args.file} --conditions {args.conditions} --psfun {args.psfun}"]
     reports: list[ConditionReport] = []
-    for fam in _families(args.conditions):
+    for fam in ["A", "B", "EF", "X"] if args.conditions == "all" else [args.conditions]:
         w_tgt = None
         if fam == "X":
             text.append("  family X:")
@@ -367,45 +352,31 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
         "file": args.file,
         "psfun": args.psfun,
         "conditions": args.conditions,
-        "reports": [_json_report(r) for r in reports],
+        "reports": [asdict(r) for r in reports],
         "passed": passed,
     }
-    return (0 if passed else 1), payload, text
+    return payload, text
 
 
-def _cmd_cross_validate(args) -> tuple[int, dict, list[str]]:
+def _cmd_cross_validate(args) -> tuple[dict, list[str]]:
     text: list[str] = []
     entries = []
-    all_passed = True
     for fname in args.files:
-        pres = _load(fname)
-        ns = argparse.Namespace(
-            file=fname, psfun=args.psfun, wsrc=args.wsrc, wtgt=args.wtgt,
+        F, w_src, target_class = _resolve_check(
+            _load(fname), fname, args.psfun, args.wsrc, args.wtgt
         )
-        F, w_src, target_class = _resolve_check(ns, pres)
         if w_src is None:
             raise UsageError("cross-validate needs a source class (--class-src)")
-        require_lawful(F.source, "source bicategory")
-        require_lawful(F.target, "target bicategory")
         rep = cross_validate_theorems(F, w_src, target_class())
         text.append(f"cross-validate {fname} --psfun {args.psfun}")
         for s in rep.subchecks:
             mark = "ran " if s.ran else "skip"
             text.append(f"  [{mark}] {s.name}: {s.reason}")
         text.append("  findings: " + ("none" if rep.passed else "; ".join(rep.findings)))
-        entries.append({
-            "file": fname,
-            "subchecks": [
-                {"name": s.name, "ran": s.ran, "agrees": s.agrees, "reason": s.reason}
-                for s in rep.subchecks
-            ],
-            "findings": list(rep.findings),
-            "passed": rep.passed,
-        })
-        all_passed = all_passed and rep.passed
-    text.append("PASS" if all_passed else "FAIL")
-    payload = {"command": "cross-validate", "files": entries, "passed": all_passed}
-    return (0 if all_passed else 1), payload, text
+        entries.append({"file": fname, **asdict(rep), "passed": rep.passed})
+    passed = all(e["passed"] for e in entries)
+    text.append("PASS" if passed else "FAIL")
+    return {"command": "cross-validate", "files": entries, "passed": passed}, text
 
 
 def _demo_reports(pres: Presentation) -> dict:
@@ -426,7 +397,7 @@ def _demo_verdicts(reports: dict) -> dict[str, bool]:
     return out
 
 
-def _cmd_demo(args) -> tuple[int, dict, list[str]]:
+def _cmd_demo(args) -> tuple[dict, list[str]]:
     reports = _demo_reports(load_fixture("appx-toy"))
     UW = reports["UW"]
 
@@ -471,7 +442,7 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
         ],
         "passed": passed,
     }
-    return (0 if passed else 1), payload, text
+    return payload, text
 
 
 _HANDLERS = {
@@ -486,14 +457,18 @@ _HANDLERS = {
 
 
 def run_command(argv: list[str]) -> int:
-    """Dispatch one invocation; returns the exit code, printing reports."""
+    """Dispatch one invocation; returns the exit code, printing reports.
+
+    The code is 0 when the report passed or has no verdict (``saturate``,
+    ``localize``), 1 when it failed.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        code, payload, text = _HANDLERS[args.command](args)
+        payload, text = _HANDLERS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -507,7 +482,7 @@ def run_command(argv: list[str]) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(text))
-    return code
+    return 0 if payload.get("passed", True) else 1
 
 
 def main() -> None:

@@ -78,7 +78,7 @@ from .core import (
     whisker_left,
     whisker_right,
 )
-from .psfun import PsFun, PsFunReport, conjugate, maps_into, validate_psfun
+from .psfun import PsFun, PsFunReport, conjugate, maps_into, require_pseudofunctor, validate_psfun
 from .wclass import WClass, check_bf, find_bf3_filler, saturate
 
 
@@ -799,9 +799,7 @@ def induce_g_tilde(
     returns the one a caller already holds; one passed in must be of ``F``'s
     own source or target at exactly that class, else `PreconditionError`.
     """
-    report = validate_psfun(F)
-    if not report.passed:
-        raise PreconditionError("pseudofunctor fails validation; cannot lift")
+    require_pseudofunctor(F, "pseudofunctor")
     sat = saturate(F.target, W_tgt).members
     ok, escape = maps_into(F, W_src, sat)
     if not ok:

@@ -6,8 +6,9 @@ compositor ``psi[(g, f)]: F(g∘f) ⇒ F(g)∘F(f)`` and the unit comparison
 definition exhaustively: totality and boundary preservation, strict
 functoriality on 2-cells, invertibility of the comparison cells, naturality
 of the compositor in both arguments at once, the associativity hexagon and
-both unit triangles.  `conjugate` carries a 2-cell between composites to
-one between the composites of their images, through the compositor.
+both unit triangles; `require_pseudofunctor` refuses a map that fails it.
+`conjugate` carries a 2-cell between composites to one between the
+composites of their images, through the compositor.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 
 from .core import (
     FinBicat,
+    PreconditionError,
     Violation,
     composable_pairs,
     composable_triples,
@@ -221,6 +223,13 @@ def validate_psfun(F: PsFun) -> PsFunReport:
     if not violations:
         violations = _psfun_law_violations(F)
     return PsFunReport(not violations, violations)
+
+
+def require_pseudofunctor(F: PsFun, what: str) -> None:
+    """Raise `PreconditionError` naming every law ``F`` (called ``what``) violates."""
+    report = validate_psfun(F)
+    if not report.passed:
+        raise PreconditionError(f"{what} violates: {', '.join(sorted(report.laws_failed()))}")
 
 
 def maps_into(F: PsFun, W_src: WClass, W_tgt: WClass) -> tuple[bool, Optional[str]]:

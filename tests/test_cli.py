@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from bicfrac.cli import run_command
@@ -131,13 +132,37 @@ def test_well_typed_but_lawless_document_fails_validation(capsys, tmp_path):
     assert "hom-category:unit" in captured.err
 
 
+def toy_with_bad_psfun(tmp_path) -> str:
+    """The toy declaring ``bad``: its identity map, except that ``f2`` sends ``iB`` to ``loop``."""
+    data = json.loads(Path(TOY).read_text(encoding="utf-8"))
+    bad = json.loads(json.dumps(data["psfuns"][0]))
+    bad["name"] = "bad"
+    next(r for r in bad["f2"] if r[0] == "iB")[1] = "loop"
+    data["psfuns"].append(bad)
+    path = tmp_path / "toy-bad-map.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+FAMILIES = ("A", "B", "EF", "X", "all")
+
+
 def test_a_lawless_document_is_never_passed(capsys, tmp_path):
     lawless = toy_with_vcomp(tmp_path, ["loop", "iB"], "iB")
-    for argv, code in [
-        (["validate", lawless], 1),
-        (["localize", lawless, "--class", "W"], 3),
-        (["check-bf", lawless, "--class", "W"], 3),
-        (["cross-validate", lawless, "--class-src", "W", "--class-tgt", "W"], 3),
+    bad_map = toy_with_bad_psfun(tmp_path)
+    at_w = ["--class-src", "W", "--class-tgt", "W"]
+    broken = "hom-category:unit"
+    for argv, code, law in [
+        (["validate", lawless], 1, None),
+        (["localize", lawless, "--class", "W"], 3, broken),
+        (["check-bf", lawless, "--class", "W"], 3, broken),
+        (["cross-validate", lawless, *at_w], 3, broken),
+        *((["check", lawless, "--conditions", fam, "--psfun", "identity", *at_w], 3, broken)
+          for fam in FAMILIES),
+        (["check", bad_map, "--conditions", "A", "--psfun", "bad", *at_w], 3, "psfun:identities"),
+        (["cross-validate", bad_map, "--psfun", "bad", *at_w], 3, "psfun:identities"),
+        (["cross-validate", bad_map, "--psfun", "bad", "--class-src", "Wmin", "--class-tgt", "Wmin"],
+         3, "psfun:identities"),
     ]:
         assert run_command(argv) == code, argv
         captured = capsys.readouterr()
@@ -145,7 +170,103 @@ def test_a_lawless_document_is_never_passed(capsys, tmp_path):
         if code == 3:
             assert captured.out == ""
             assert captured.err.startswith("precondition violation: ")
-            assert " violates: " in captured.err and "hom-category:unit" in captured.err
+            assert " violates: " in captured.err and law in captured.err, argv
+
+
+SWAPPED_FIXTURES = ("appx-toy", "appx-toy-loopy", "arrow2", "iso2")
+TWO_CELL_TABLES = ("vcomp", "whisk_left", "whisk_right", "assoc", "runit", "lunit")
+
+
+def one_swaps(name: str):
+    """Each copy of a fixture with one 2-cell-valued row sent to another declared 2-cell.
+
+    Yields ``(entry, doc)``, ``entry`` named as a document error names it.
+    The rows are those of `TWO_CELL_TABLES` and the ``f2`` rows of each
+    declared pseudofunctor, whose target is the document itself; a block
+    with a swapped row is renamed ``swapped``, so no built-in ``--psfun``
+    name hides it.
+    """
+    text = (FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
+    data = json.loads(text)
+    cells = [t[0] for t in data["two_cells"]]
+    sites = [(None, table, i) for table in TWO_CELL_TABLES for i in range(len(data[table]))]
+    sites += [(b, "f2", i) for b, block in enumerate(data.get("psfuns", []))
+              for i in range(len(block["f2"]))]
+    for b, table, i in sites:
+        for cell in cells:
+            doc = json.loads(text)
+            owner = doc if b is None else doc["psfuns"][b]
+            row = owner[table][i]
+            if row[-1] == cell:
+                continue
+            row[-1] = cell
+            key = row[0] if len(row) == 2 else tuple(row[:-1])
+            if b is None:
+                yield f"{table}[{key!r}]", doc
+            else:
+                owner["name"] = "swapped"
+                yield f"psfuns[{b}].{table}[{key!r}]", doc
+
+
+def test_no_command_passes_a_lawless_swap_of_a_fixture(capsys, tmp_path):
+    """Every one-row swap: ill-typed ends in a document error, lawless is refused.
+
+    ``saturate`` closes a class under ``hcomp1`` and presumes no law, so it
+    is not among the commands that must refuse a lawless document.  Every
+    command reads its document through one loader, so each ill-typed swap
+    runs through ``validate`` and one class-taking command, in turn.
+    """
+    path = str(tmp_path / "swapped.json")
+    at_w = ["--class-src", "W", "--class-tgt", "W"]
+    loading = [
+        ["check-bf", path, "--class", "W"],
+        ["saturate", path, "--class", "W"],
+        ["localize", path, "--class", "W"],
+        ["check", path, "--conditions", "all", "--psfun", "identity", *at_w],
+        ["cross-validate", path, *at_w],
+    ]
+
+    def checks(psfun):
+        return [["check", path, "--conditions", fam, "--psfun", psfun, *at_w] for fam in FAMILIES]
+
+    refusing = {
+        "document": [
+            *(argv for argv in loading if argv[0] in ("check-bf", "localize", "cross-validate")),
+            *checks("identity"),
+        ],
+        "map": [["cross-validate", path, "--psfun", "swapped", *at_w], *checks("swapped")],
+    }
+
+    def run_quietly(argv):
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err, argv
+        return code, captured
+
+    kinds = Counter()
+    for name in SWAPPED_FIXTURES:
+        for entry, doc in one_swaps(name):
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+            where = "map" if entry.startswith("psfuns") else "document"
+            code, captured = run_quietly(["validate", path])
+            kinds[where, code] += 1
+            if code == 0:
+                continue
+            if code == 2:
+                want = f"document error: {entry}: "
+                assert captured.err.startswith(want), (name, entry, captured.err)
+                argvs = [loading[sum(kinds.values()) % len(loading)]]
+            else:
+                assert code == 1, (name, entry)
+                code, want, argvs = 3, "precondition violation: ", refusing[where]
+            for argv in argvs:
+                got, captured = run_quietly(argv)
+                assert (got, captured.out) == (code, ""), (name, entry, argv)
+                assert captured.err.startswith(want), (name, entry, argv, captured.err)
+    assert kinds == {
+        ("document", 2): 422, ("document", 1): 20, ("document", 0): 2,
+        ("map", 2): 32, ("map", 1): 2, ("map", 0): 2,
+    }
 
 
 def test_check_bf_pass_and_fail(capsys):
