@@ -1,11 +1,12 @@
 """Ready-made finite bicategories, 1-cell classes and pseudofunctors.
 
 Every fixture here is a strict 2-category, assembled through `build_strict`.
-It declares the cells and fills each table by walking its domain with
-`core`'s walks, taking the forced entries (identity 2-cells, whiskers and
-vertical composites involving identities, and identity associators and
-unitors) and the given ones.  Callers declare only the cells and the handful
-of genuinely non-trivial table entries.  The tables are then checked by
+It declares the cells and fills each table by walking its domain in
+`core.TABLES`, taking the forced entries (identity 2-cells, vertical
+composites involving identities, whiskers of identities and associators,
+each the identity of the source of its key's frame, and identity unitors)
+and the given ones.  Callers declare only the cells and the handful of
+genuinely non-trivial table entries.  The tables are then checked by
 `structural_violations` alone: a missing entry, a mistyped composite or a
 composition that is not associative or unital on the nose raises
 `StructureError` naming the first entry at fault.
@@ -33,18 +34,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    TABLES,
     FinBicat,
     OneCell,
     StructureError,
     TwoCell,
-    composable_pairs,
-    composable_triples,
-    lwhisker_pairs,
-    rwhisker_pairs,
     structural_violations,
-    vertical_pairs,
 )
-from .psfun import PsFun, identity_psfun
+from .psfun import PsFun, identity_psfun, strict_psfun
 from .wclass import WClass
 
 
@@ -96,24 +93,23 @@ def build_strict(
         strict=True,
         name=name,
     )
-    H = B.hcomp1
 
     def fill(table: dict, key: tuple, value: Optional[str]) -> None:
         if value is not None:
             table[key] = value
 
-    # ``id2.get`` of a missing composite is None, so such entries stay out.
-    for b, a in vertical_pairs(B):
-        key = (b.id, a.id)
-        fill(B.vcomp, key, b.id if a.id in identity2 else a.id if b.id in identity2 else vcomp.get(key))
-    for g, a in lwhisker_pairs(B):
-        key = (g.id, a.id)
-        fill(B.whisk_left, key, id2.get(H.get((g.id, a.src))) if a.id in identity2 else whisk_left.get(key))
-    for b, f in rwhisker_pairs(B):
-        key = (b.id, f.id)
-        fill(B.whisk_right, key, id2.get(H.get((b.src, f.id))) if b.id in identity2 else whisk_right.get(key))
-    for h, g, f in composable_triples(B):
-        fill(B.assoc, (h.id, g.id, f.id), id2.get(H.get((h.id, H.get((g.id, f.id))))))
+    # An identity's whiskers and every associator are the identity of their
+    # frame's source; ``id2.get`` of a missing composite is None, so such
+    # entries stay out.
+    for key in TABLES["vcomp"].walk(B):
+        b, a = key
+        fill(B.vcomp, key, b if a in identity2 else a if b in identity2 else vcomp.get(key))
+    for key, (src, _) in TABLES["whisk_left"].frames(B):
+        fill(B.whisk_left, key, id2.get(src) if key[1] in identity2 else whisk_left.get(key))
+    for key, (src, _) in TABLES["whisk_right"].frames(B):
+        fill(B.whisk_right, key, id2.get(src) if key[0] in identity2 else whisk_right.get(key))
+    for key, (src, _) in TABLES["assoc"].frames(B):
+        fill(B.assoc, key, id2.get(src))
 
     faults = structural_violations(B)
     if faults:
@@ -252,27 +248,6 @@ def discrete2() -> FinBicat:
 
 
 # -- pseudofunctors between the fixtures -------------------------------------
-
-
-def strict_psfun(
-    source: FinBicat,
-    target: FinBicat,
-    f0: dict[str, str],
-    f1: dict[str, str],
-    f2: dict[str, str],
-    name: str = "",
-) -> PsFun:
-    """A pseudofunctor with identity comparison cells.
-
-    Suits maps between strict fixtures that preserve composition on the
-    nose; `validate_psfun` still gets the final word.
-    """
-    psi = {
-        (g.id, f.id): target.id2[target.hcomp1[(f1[g.id], f1[f.id])]]
-        for g, f in composable_pairs(source)
-    }
-    sigma = {x: target.id2[target.id1[f0[x]]] for x in source.objects}
-    return PsFun(source, target, dict(f0), dict(f1), dict(f2), psi, sigma, name)
 
 
 def collapse_loop(toy: FinBicat, quotient: FinBicat) -> PsFun:

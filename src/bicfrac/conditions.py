@@ -41,7 +41,7 @@ reports any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     CompositionError,
@@ -629,6 +629,15 @@ _NEEDS_SOURCE_CLASS = {"A1", "A2", "A3", "A4", "A5", "B2", "B4", "B5", "EF2"}
 _NEEDS_TARGET_CLASS = {"A1", "A2", "A3", "A4", "A5"}
 
 
+def _require_classes(tags: Iterable[str], W_A: Optional[WClass], W_B: Optional[WClass]) -> None:
+    """`ValueError` for the first of ``tags`` that reads a class not given."""
+    for tag in tags:
+        if tag in _NEEDS_SOURCE_CLASS and W_A is None:
+            raise ValueError(f"{tag} needs the source class")
+        if tag in _NEEDS_TARGET_CLASS and W_B is None:
+            raise ValueError(f"{tag} needs the target class")
+
+
 def _report(tag: str, F: PsFun, W_A: Optional[WClass], W_B: Optional[WClass]) -> ConditionReport:
     """Decide one condition; EF3 alone reads its whole pool, to see a second preimage."""
     if tag == "EF3":
@@ -683,14 +692,17 @@ def check_family(
     """Check a family's precondition once, then decide each member in order.
 
     ``family`` is ``"A"`` (classes ``W_A`` and ``W_B``), ``"B"`` or ``"EF"``
-    (``W_A`` only) or ``"X"`` (no class).  `PreconditionError` is raised
-    unless, for ``A``, both classes satisfy the localization axioms and ``F``
-    sends ``W_A`` into the right saturation of ``W_B``, and, for ``B``, ``F``
-    sends ``W_A`` to internal equivalences and ``W_A`` satisfies the axioms.
+    (``W_A`` only) or ``"X"`` (no class); a member that reads a class not
+    given raises `ValueError`, as `recheck_witness` does.  Then
+    `PreconditionError` is raised unless, for ``A``, both classes satisfy
+    the localization axioms and ``F`` sends ``W_A`` into the right
+    saturation of ``W_B``, and, for ``B``, ``F`` sends ``W_A`` to internal
+    equivalences and ``W_A`` satisfies the axioms.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown condition family {family!r}")
     tags, precondition = _FAMILIES[family]
+    _require_classes(tags, W_A, W_B)
     precondition(F, W_A, W_B)
     return tuple(_report(tag, F, W_A, W_B) for tag in tags)
 
@@ -706,6 +718,7 @@ def _check_one(F: PsFun, family: str, which, W_A=None, W_B=None) -> ConditionRep
         raise ValueError(f"condition index must be 1..{len(tags)}, got {which!r}")
     else:
         tag = tags[which - 1]
+    _require_classes((tag,), W_A, W_B)
     precondition(F, W_A, W_B)
     return _report(tag, F, W_A, W_B)
 
@@ -767,10 +780,7 @@ def recheck_witness(
     if not report.holds or report.witness is None:
         raise ValueError(f"report for {report.tag} carries no witness")
     u, w = (tuple(cells) for cells in report.witness)  # as read back from JSON too
-    if report.tag in _NEEDS_SOURCE_CLASS and W_A is None:
-        raise ValueError(f"{report.tag} needs the source class")
-    if report.tag in _NEEDS_TARGET_CLASS and W_B is None:
-        raise ValueError(f"{report.tag} needs the target class")
+    _require_classes((report.tag,), W_A, W_B)
     prob = _BUILDERS[report.tag](F, W_A, W_B)
     try:
         return w in prob.candidates(u) and prob.holds(u, w)

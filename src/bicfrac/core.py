@@ -8,9 +8,13 @@ Construction rejects undeclared cells and indexes the cells by source and
 target (`FinBicat.into1`, `from2`, `over_into`, ...).  The domain of each
 binary and ternary table is walked through those indexes by one function
 (`composable_pairs`, `composable_triples`, `vertical_pairs`,
-`lwhisker_pairs`, `rwhisker_pairs`); the law checks, the table builders
-and the export of a document's rows iterate these walks, so they alone
-decide each table's domain and row order.  `structural_violations` checks
+`lwhisker_pairs`, `rwhisker_pairs`), which the law checks iterate.  Each
+of the nine tables is stated once, in `TABLES`: the kinds of its key parts
+and values, a walk of its keys in row order and the rule giving each key's
+frame, the ``(src, tgt)`` its value must have.  Construction, both
+structural checks, the document reader and writer, and the builders that
+fill tables read it, and `psfun.PSFUN_TABLES` states a pseudofunctor's
+five tables the same way.  `structural_violations` checks
 that every table is total and well typed, deciding the tables whole, one
 column of keys or values at a time (`columns`), and walking their domains
 only to name faults; `validate_bicat` runs that check and then the axioms
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, starmap, tee
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import columns
@@ -169,26 +173,20 @@ class FinBicat:
             into2.setdefault(t.tgt, []).append(t)
             over_from.setdefault(f.src, []).append(t)
             over_into.setdefault(f.tgt, []).append(t)
-        ob, one, two = obj_pos, one_by_id, two_by_id
-        for name, key_sets, values in (  # each table's key parts and values
-            ("id1", [ob], one), ("id2", [one], two),
-            ("hcomp1", [one, one], one), ("vcomp", [two, two], two),
-            ("whisk_left", [one, two], two), ("whisk_right", [two, one], two),
-            ("assoc", [one, one, one], two), ("runit", [one], two), ("lunit", [one], two),
-        ):
-            table = getattr(self, name)
-            if columns.declared(table, key_sets, values):
+        declared = {"object": obj_pos, "1-cell": one_by_id, "2-cell": two_by_id}
+        for spec in TABLES.values():
+            name, table, arity = spec.name, getattr(self, spec.name), len(spec.parts)
+            if columns.declared(table, [declared[kind] for kind in spec.parts], declared[spec.value]):
                 continue
-            arity = len(key_sets)
             for k, v in table.items():
                 parts = (k,) if arity == 1 else k
                 if arity > 1 and (type(k) is not tuple or len(k) != arity):
                     raise StructureError(f"{entry_name(name, k)}: malformed key")
-                for p, known in zip(parts, key_sets):
-                    if p not in known:
-                        noun = "object" if known is ob else "cell"
+                for p, kind in zip(parts, spec.parts):
+                    if p not in declared[kind]:
+                        noun = "object" if kind == "object" else "cell"
                         raise StructureError(f"{entry_name(name, k)}: undeclared {noun} {p!r}")
-                if v not in values:
+                if v not in declared[spec.value]:
                     raise StructureError(f"{entry_name(name, k)}: undeclared cell {v!r}")
         # A fresh dict: `dataclasses.replace` hands the original's cache to
         # the copy, and refilling that one would make it describe the copy.
@@ -196,6 +194,7 @@ class FinBicat:
             "one_by_id": one_by_id,
             "two_by_id": two_by_id,
             "obj_pos": obj_pos,
+            "declared": declared,
             "one_pos": {x.id: i for i, x in enumerate(self.one_cells)},
             "two_pos": {x.id: i for i, x in enumerate(self.two_cells)},
             "homs": homs,
@@ -537,111 +536,136 @@ def rwhisker_pairs(B: FinBicat) -> Iterator[tuple[TwoCell, OneCell]]:
             yield b, f
 
 
-def table_violations(
-    name: str,
-    table: dict,
-    entries: Iterable[tuple[object, tuple]],
-    values: dict,
-    fits: Optional[Callable[[tuple], bool]] = None,
-    domain: str = "",
-    kind: str = "cell",
-) -> list[Violation]:
-    """Faults of one table against the entries its domain requires.
+@dataclass(frozen=True)
+class Table:
+    """One table's domain and frames, stated once.
 
-    ``entries`` yields each key of the domain with the ``(src, tgt)`` its
-    value must have; an empty tuple, or a pair holding None, is not
-    checked.  ``values`` maps declared value ids to their cells.  When the
-    table holds more keys than the domain, the keys failing ``fits`` are
-    extra entries, reported as not being ``domain``.  Each violation has law
-    ``structure:<name>``, the key as its cells, and a detail that reads
-    after the entry's name, as in ``hcomp1[('v', 'idA')]: missing entry``.
+    ``parts`` are the kinds of a key's parts and ``value`` the kind of its
+    value, each ``"object"``, ``"1-cell"`` or ``"2-cell"``.  ``walk`` yields
+    the domain's keys in row order, the order a document lists them: a bare
+    id for a key of one part, else a tuple of ids.  ``frame`` maps a key's
+    parts to the ``(src, tgt)`` its value must have, holding None where it
+    looks up a missing entry, or to ``()`` when the values have none.  A key
+    outside the domain is an extra entry, not ``noun``.  ``walk`` and
+    ``frame`` take the tables' owner first: a `FinBicat`, or a `PsFun` for
+    its own tables.
     """
+
+    name: str
+    parts: tuple[str, ...]
+    value: str
+    noun: str
+    walk: Callable[[object], Iterable]
+    frame: Callable[..., tuple]
+
+    def frames(self, owner) -> Iterator[tuple[object, tuple]]:
+        """Each key of the domain with the frame of its value, in row order."""
+        keys, args = tee(self.walk(owner))
+        frame = partial(self.frame, owner)
+        return zip(keys, map(frame, args) if len(self.parts) == 1 else starmap(frame, args))
+
+
+def _one_ids(B: FinBicat) -> Iterator[str]:
+    return (c.id for c in B.one_cells)
+
+
+def _lwhisker_frame(B: FinBicat, g: str, a: str) -> tuple:
+    H, t = B.hcomp1, B.two(a)
+    return H.get((g, t.src)), H.get((g, t.tgt))
+
+
+def _rwhisker_frame(B: FinBicat, b: str, f: str) -> tuple:
+    H, t = B.hcomp1, B.two(b)
+    return H.get((t.src, f)), H.get((t.tgt, f))
+
+
+def _assoc_frame(B: FinBicat, h: str, g: str, f: str) -> tuple:
+    H = B.hcomp1
+    return H.get((h, H.get((g, f)))), H.get((H.get((h, g)), f))
+
+
+# The nine tables of a `FinBicat`, in the order a document lists them.
+TABLES: dict[str, Table] = {t.name: t for t in (
+    Table("id1", ("object",), "1-cell", "an object", lambda B: B.objects, lambda B, x: (x, x)),
+    Table("id2", ("1-cell",), "2-cell", "a 1-cell", _one_ids, lambda B, f: (f, f)),
+    Table("hcomp1", ("1-cell", "1-cell"), "1-cell", "a composable pair",
+          lambda B: ((g.id, f.id) for g, f in composable_pairs(B)),
+          lambda B, g, f: (B.one(f).src, B.one(g).tgt)),
+    Table("vcomp", ("2-cell", "2-cell"), "2-cell", "a composable pair",
+          lambda B: ((b.id, a.id) for b, a in vertical_pairs(B)),
+          lambda B, b, a: (B.two(a).src, B.two(b).tgt)),
+    Table("whisk_left", ("1-cell", "2-cell"), "2-cell", "a whiskerable pair",
+          lambda B: ((g.id, a.id) for g, a in lwhisker_pairs(B)),
+          _lwhisker_frame),
+    Table("whisk_right", ("2-cell", "1-cell"), "2-cell", "a whiskerable pair",
+          lambda B: ((b.id, f.id) for b, f in rwhisker_pairs(B)),
+          _rwhisker_frame),
+    Table("assoc", ("1-cell", "1-cell", "1-cell"), "2-cell", "a composable triple",
+          lambda B: ((h.id, g.id, f.id) for h, g, f in composable_triples(B)), _assoc_frame),
+    Table("runit", ("1-cell",), "2-cell", "a 1-cell", _one_ids,
+          lambda B, f: (B.hcomp1.get((f, B.id1.get(B.one(f).src))), f)),
+    Table("lunit", ("1-cell",), "2-cell", "a 1-cell", _one_ids,
+          lambda B, f: (B.hcomp1.get((B.id1.get(B.one(f).tgt), f)), f)),
+)}
+
+
+def table_violations(table: Table, owner, values: dict) -> list[Violation]:
+    """Faults of ``owner``'s ``table`` against its domain.
+
+    ``values`` maps the declared value ids to their cells.  A key of the
+    domain that the table lacks is a missing entry, and a key outside it an
+    extra one; a value must be declared and lie in its key's frame.  Each
+    violation has law ``structure:<name>``, the key as its cells, and a
+    detail that reads after the entry's name, as in
+    ``hcomp1[('v', 'idA')]: missing entry``.
+    """
+    entries = getattr(owner, table.name)
     out: list[Violation] = []
-    law = f"structure:{name}"
+    law = f"structure:{table.name}"
 
     def add(key, detail: str) -> None:
         out.append(Violation(law, key if type(key) is tuple else (key,), detail))
 
     found = 0
-    for key, want in entries:
-        v = table.get(key)
+    for key, want in table.frames(owner):
+        v = entries.get(key)
         if v is None:
             add(key, "missing entry")
             continue
         found += 1
         cell = values.get(v)
         if cell is None:
-            add(key, f"undeclared {kind} {v!r}")
+            add(key, f"undeclared {'object' if table.value == 'object' else 'cell'} {v!r}")
         elif want and (cell.src, cell.tgt) != want and None not in want:
             noun = "endpoints" if isinstance(cell, OneCell) else "boundary"
             add(key, f"value {v!r} has wrong {noun}")
-    if found < len(table) and fits is not None:
-        for key in table:
-            if not fits(key):
-                add(key, f"extra entry: not {domain}")
+    if found < len(entries):
+        domain = set(table.walk(owner))
+        for key in entries:
+            if key not in domain:
+                add(key, f"extra entry: not {table.noun}")
     return out
 
 
 def structural_violations(B: FinBicat) -> list[Violation]:
     """Every totality and typing fault of the tables, table by table.
 
-    Each table must hold exactly the keys of its domain: identities of every
-    object and 1-cell, composites of composable pairs and triples, whiskers
-    of whiskerable pairs, and unitors of every 1-cell.  Each value must have
-    the endpoints or boundary its key dictates.
+    Each table must hold exactly the keys of its domain (`TABLES`), and each
+    value must lie in the frame its key dictates.
 
     The tables are first decided whole, one column of keys or values at a
     time (`columns.well_formed`), which presumes what construction checks:
     every key is a declared cell, or tuple of cells, of the right kind.
-    Only when that fails are the domains walked through the indexes
-    (`table_violations`), to name every fault.  The list is kept in
-    ``B``'s cache, as `validate_bicat`'s report is, so it must be read,
-    never modified.
+    Only when that fails are the domains walked (`table_violations`), to
+    name every fault.  The list is kept in ``B``'s cache, as
+    `validate_bicat`'s report is, so it must be read, never modified.
     """
     if "structure" in B._cache:
         return B._cache["structure"]
-    if columns.well_formed(B):
-        B._cache["structure"] = []
-        return []
-    one, two = B._cache["one_by_id"], B._cache["two_by_id"]
-    H, I1 = B.hcomp1, B.id1
-    out = table_violations("id1", I1, ((x, (x, x)) for x in B.objects), one)
-    out += table_violations("id2", B.id2, ((c.id, (c.id, c.id)) for c in B.one_cells), two)
-    out += table_violations(
-        "hcomp1", H, (((g.id, f.id), (f.src, g.tgt)) for g, f in composable_pairs(B)), one,
-        lambda k: one[k[0]].src == one[k[1]].tgt, "a composable pair",
-    )
-    out += table_violations(
-        "vcomp", B.vcomp,
-        (((b.id, a.id), (a.src, b.tgt)) for b, a in vertical_pairs(B)),
-        two, lambda k: two[k[0]].src == two[k[1]].tgt, "a composable pair",
-    )
-    out += table_violations(
-        "whisk_left", B.whisk_left,
-        (((g.id, a.id), (H.get((g.id, a.src)), H.get((g.id, a.tgt)))) for g, a in lwhisker_pairs(B)),
-        two, lambda k: one[k[0]].src == one[two[k[1]].tgt].tgt, "a whiskerable pair",
-    )
-    out += table_violations(
-        "whisk_right", B.whisk_right,
-        (((b.id, f.id), (H.get((b.src, f.id)), H.get((b.tgt, f.id)))) for b, f in rwhisker_pairs(B)),
-        two, lambda k: one[two[k[0]].src].src == one[k[1]].tgt, "a whiskerable pair",
-    )
-    out += table_violations(
-        "assoc", B.assoc,
-        (((h.id, g.id, f.id),
-          (H.get((h.id, H.get((g.id, f.id)))), H.get((H.get((h.id, g.id)), f.id))))
-         for h, g, f in composable_triples(B)),
-        two,
-        lambda k: one[k[0]].src == one[k[1]].tgt and one[k[1]].src == one[k[2]].tgt,
-        "a composable triple",
-    )
-    out += table_violations(
-        "runit", B.runit, ((c.id, (H.get((c.id, I1.get(c.src))), c.id)) for c in B.one_cells), two,
-    )
-    out += table_violations(
-        "lunit", B.lunit, ((c.id, (H.get((I1.get(c.tgt), c.id)), c.id)) for c in B.one_cells), two,
-    )
-    B._cache["structure"] = out
+    declared = B._cache["declared"]
+    B._cache["structure"] = out = [] if columns.well_formed(B) else [
+        v for t in TABLES.values() for v in table_violations(t, B, declared[t.value])
+    ]
     return out
 
 

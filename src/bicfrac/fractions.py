@@ -7,9 +7,9 @@ be *materialized*: every span, every representative, every class and every
 structural table is enumerated explicitly, producing an ordinary `FinBicat`
 that is then run through the full validator.  The spans and classes are
 declared first; the composition, whiskering and coherence tables are then
-filled by walking the new `FinBicat`'s own domains (`core.composable_pairs`
-and its siblings).  An entry landing in a frame with a single class is that
-class; only frames with several classes are searched.  Left and right
+filled by walking the new `FinBicat`'s own domains with the frame of each
+key (`core.TABLES`).  An entry landing in a frame with a single class is
+that class; only frames with several classes are searched.  Left and right
 whiskering are one search with the roles of the two spans swapped: a fixed
 span on one side, a class's representative on the other.
 
@@ -44,7 +44,8 @@ its class, the target at the right saturation of its class): spans map
 legwise, a 2-cell class maps through `g_tilde_on_two_cell`, which conjugates
 its representative by the compositor (`psfun.conjugate`), and each
 comparison cell of the lift is, like each associator and unitor, the least
-invertible class of its frame.  The lift is validated before it is returned.
+invertible class of the frame its table yields (`psfun.PSFUN_TABLES`).
+The lift is validated before it is returned.
 """
 
 from __future__ import annotations
@@ -55,30 +56,29 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .core import (
+    TABLES,
     FinBicat,
     OneCell,
     PreconditionError,
     StructureError,
+    Table,
     TwoCell,
     _components_identity,
     assoc_cell,
     assoc_inv_cell,
     composable_pairs,
-    composable_triples,
     inv_cells2,
     inverse_cell,
     lunit_cell,
-    lwhisker_pairs,
     require_lawful,
     runit_cell,
-    rwhisker_pairs,
     two_cell_inverse,
     validate_bicat,
     vfold,
     whisker_left,
     whisker_right,
 )
-from .psfun import PsFun, PsFunReport, conjugate, maps_into, require_pseudofunctor, validate_psfun
+from .psfun import PSFUN_TABLES, PsFun, PsFunReport, conjugate, maps_into, require_pseudofunctor, validate_psfun
 from .wclass import WClass, check_bf, find_bf3_filler, saturate
 
 
@@ -115,12 +115,25 @@ class LocalizationError(RuntimeError):
         self.report = report
 
 
-def _least_invertible(B: FinBicat, src: str, tgt: str, context: str) -> str:
-    """Least invertible 2-cell ``src ⇒ tgt`` of ``B``, else `LocalizationError`."""
-    found = inv_cells2(B, src, tgt)
+def _least_invertible(B: FinBicat, context: str, frame: tuple[str, str]) -> str:
+    """Least invertible 2-cell of ``B`` in ``frame``, else `LocalizationError`."""
+    found = inv_cells2(B, *frame)
     if not found:
-        raise LocalizationError(f"no invertible class for {context}: {src!r} ⇒ {tgt!r}")
+        raise LocalizationError(f"no invertible class for {context}: {frame[0]!r} ⇒ {frame[1]!r}")
     return found[0]
+
+
+def _fill_least_invertible(owner, B: FinBicat, tables: dict[str, Table], contexts: dict[str, str]) -> None:
+    """Fill ``owner``'s tables named in ``contexts`` with the least invertible 2-cell of ``B`` in each frame.
+
+    A frame with none raises `LocalizationError`, naming the table's
+    ``context``.  Each distinct frame of a table is searched once.
+    """
+    for name, context in contexts.items():
+        least = _Memo(partial(_least_invertible, B, context))
+        values = getattr(owner, name)
+        for key, frame in tables[name].frames(owner):
+            values[key] = least[frame]
 
 
 @dataclass(frozen=True)
@@ -568,23 +581,21 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
             f"no composition site for classes over {S1.id!r} ⇒ {S3.id!r}"
         )
 
-    def forced(src: str, tgt: str) -> Optional[str]:
-        """The class of the frame ``src ⇒ tgt`` when it is the frame's only one.
+    def only_class(frame: tuple[str, str]) -> Optional[str]:
+        """The class of ``frame`` when it is the frame's only one.
 
         Every composite and whiskering of classes is a class of its target
         frame, so an entry landing in a frame with one class is that class,
         and its search can be skipped.
         """
-        cells = mat.cells2(src, tgt)
+        cells = mat.cells2(*frame)
         return cells[0] if len(cells) == 1 else None
 
-    for a in mat.two_cells:
-        c1 = classes[a.id]
-        for b in mat.from2(a.tgt):
-            c2 = classes[b.id]
-            mat.vcomp[(b.id, a.id)] = forced(a.src, b.tgt) or compose_classes(
-                c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep
-            )
+    forced = _Memo(only_class)
+
+    for (b, a), frame in TABLES["vcomp"].frames(mat):
+        c1, c2 = classes[a], classes[b]
+        mat.vcomp[b, a] = forced[frame] or compose_classes(c1.src, c1.tgt, c2.tgt, c1.rep, c2.rep)
 
     def parts(X1: Span, X2: Span, rep: Optional[TwoCellRep], c1: str, c2: str, E: str, cells: Callable):
         """Candidate ``(back, forward)`` parts of one side of a whiskering, as thunks.
@@ -651,26 +662,17 @@ def _build_localization(B: FinBicat, W: WClass, name: str) -> Localization:
                             return locate(comp1, comp2, TwoCellRep(E, e1, e2, alpha, beta))
         raise LocalizationError(f"no whiskering site over {comp1.id!r} ⇒ {comp2.id!r}")
 
-    for g, a in lwhisker_pairs(mat):
-        c = classes[a.id]
-        mat.whisk_left[(g.id, a.id)] = forced(
-            hcomp1[(g.id, a.src)], hcomp1[(g.id, a.tgt)]
-        ) or whisker_class(sids[g.id], sids[g.id], c.src, c.tgt, None, c.rep)
-    for b, f in rwhisker_pairs(mat):
-        c = classes[b.id]
-        mat.whisk_right[(b.id, f.id)] = forced(
-            hcomp1[(b.src, f.id)], hcomp1[(b.tgt, f.id)]
-        ) or whisker_class(c.src, c.tgt, sids[f.id], sids[f.id], c.rep, None)
+    for (g, a), frame in TABLES["whisk_left"].frames(mat):
+        c = classes[a]
+        mat.whisk_left[g, a] = forced[frame] or whisker_class(sids[g], sids[g], c.src, c.tgt, None, c.rep)
+    for (b, f), frame in TABLES["whisk_right"].frames(mat):
+        c = classes[b]
+        mat.whisk_right[b, f] = forced[frame] or whisker_class(c.src, c.tgt, sids[f], sids[f], c.rep, None)
 
     # Inverses depend only on id2 and vcomp, so the coherence tables can be
     # filled in from the localization's own inverse search.
-    for h, g, f in composable_triples(mat):
-        lhs = hcomp1[(h.id, hcomp1[(g.id, f.id)])]
-        rhs = hcomp1[(hcomp1[(h.id, g.id)], f.id)]
-        mat.assoc[(h.id, g.id, f.id)] = _least_invertible(mat, lhs, rhs, "associator")
-    for c in mat.one_cells:
-        mat.runit[c.id] = _least_invertible(mat, hcomp1[(c.id, id1[c.src])], c.id, "right unitor")
-        mat.lunit[c.id] = _least_invertible(mat, hcomp1[(id1[c.tgt], c.id)], c.id, "left unitor")
+    contexts = {"assoc": "associator", "runit": "right unitor", "lunit": "left unitor"}
+    _fill_least_invertible(mat, mat, TABLES, contexts)
     mat.strict = _components_identity(mat)
 
     return Localization(
@@ -826,25 +828,8 @@ def induce_g_tilde(
     for t in SB.two_cells:
         f2[t.id] = g_tilde_on_two_cell(F, source_loc, target_loc, t.id)
 
-    psi = {}
-    for g, f in composable_pairs(SB):
-        src_cell = f1[SB.hcomp1[(g.id, f.id)]]
-        tgt_cell = TB.hcomp1[(f1[g.id], f1[f.id])]
-        psi[(g.id, f.id)] = _least_invertible(TB, src_cell, tgt_cell, "compositor")
-    sigma = {}
-    for x in SB.objects:
-        sigma[x] = _least_invertible(TB, f1[SB.id1[x]], TB.id1[f0[x]], "unit comparison")
-
-    lifted = PsFun(
-        source=SB,
-        target=TB,
-        f0=f0,
-        f1=f1,
-        f2=f2,
-        psi=psi,
-        sigma=sigma,
-        name=f"{F.name}~" if F.name else "lift",
-    )
+    lifted = PsFun(SB, TB, f0, f1, f2, {}, {}, f"{F.name}~" if F.name else "lift")
+    _fill_least_invertible(lifted, TB, PSFUN_TABLES, {"psi": "compositor", "sigma": "unit comparison"})
     lift_report = validate_psfun(lifted)
     if not lift_report.passed:
         laws = ", ".join(sorted(lift_report.laws_failed()))

@@ -3,8 +3,12 @@
 A document describes one bicategory by exhaustive tables, plus optional
 named 1-cell classes and pseudofunctor blocks.  Composition tables are
 arrays of ``[key..., value]`` rows so fixtures stay diffable and can be
-emitted from any language.  Parsing rejects ill-typed documents and
-names the offending entry: identifiers must be unique and declared
+emitted from any language.  The tables, their key widths and their row
+order are read from `core.TABLES` and `psfun.PSFUN_TABLES`: the reader
+builds each table from its name and width there, and the writer lists each
+table's rows in the order its walk yields the keys.  Parsing rejects
+ill-typed documents and names the offending entry: identifiers must be
+unique and declared
 (checked by `FinBicat` construction), and every table must hold exactly
 its domain with values of the right endpoints or boundary (the first fault
 found by `structural_violations`, or `structural_psfun_violations` for a
@@ -35,23 +39,20 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
+    TABLES,
     FinBicat,
     OneCell,
     StructureError,
+    Table,
     TwoCell,
     Violation,
-    composable_pairs,
-    composable_triples,
     entry_name,
-    lwhisker_pairs,
-    rwhisker_pairs,
     structural_violations,
-    vertical_pairs,
 )
-from .psfun import PsFun, structural_psfun_violations
+from .psfun import PSFUN_TABLES, PsFun, structural_psfun_violations
 from .wclass import WClass
 
 
@@ -142,23 +143,14 @@ def _parse_bicat(doc: dict, name: str, canon: dict) -> FinBicat:
     strict = doc.get("strict", False)
     if not isinstance(strict, bool):
         _fail("strict", "expected a boolean")
+    cells = (
+        tuple(map(canon.setdefault, objects, objects)),
+        tuple(OneCell(*r) for r in _rows(doc, "one_cells", 3, canon)),
+        tuple(TwoCell(*r) for r in _rows(doc, "two_cells", 3, canon)),
+    )
+    tables = {t.name: _table(doc, t.name, len(t.parts), canon) for t in TABLES.values()}
     try:
-        B = FinBicat(
-            objects=tuple(map(canon.setdefault, objects, objects)),
-            one_cells=tuple(OneCell(*r) for r in _rows(doc, "one_cells", 3, canon)),
-            two_cells=tuple(TwoCell(*r) for r in _rows(doc, "two_cells", 3, canon)),
-            id1=_table(doc, "id1", 1, canon),
-            id2=_table(doc, "id2", 1, canon),
-            hcomp1=_table(doc, "hcomp1", 2, canon),
-            vcomp=_table(doc, "vcomp", 2, canon),
-            whisk_left=_table(doc, "whisk_left", 2, canon),
-            whisk_right=_table(doc, "whisk_right", 2, canon),
-            assoc=_table(doc, "assoc", 3, canon),
-            runit=_table(doc, "runit", 1, canon),
-            lunit=_table(doc, "lunit", 1, canon),
-            strict=strict,
-            name=name,
-        )
+        B = FinBicat(*cells, **tables, strict=strict, name=name)
     except StructureError as e:
         raise PresentationError(str(e)) from e
     _fail_first(structural_violations(B))
@@ -252,16 +244,8 @@ def parse_presentation(
             _fail(loc, "source and target must be strings")
         source = resolve(sref, f"{loc}.source")
         target = resolve(tref, f"{loc}.target")
-        F = PsFun(
-            source=source,
-            target=target,
-            f0=_table(block, "f0", 1, canon, loc),
-            f1=_table(block, "f1", 1, canon, loc),
-            f2=_table(block, "f2", 1, canon, loc),
-            psi=_table(block, "psi", 2, canon, loc),
-            sigma=_table(block, "sigma", 1, canon, loc),
-            name=pname,
-        )
+        tables = {t.name: _table(block, t.name, len(t.parts), canon, loc) for t in PSFUN_TABLES.values()}
+        F = PsFun(source, target, **tables, name=pname)
         _fail_first(structural_psfun_violations(F), f"{loc}.")
         psfuns[pname] = F
         psfun_refs[pname] = (sref, tref)
@@ -294,15 +278,7 @@ def export_presentation(pres: Presentation) -> str:
         "objects": list(B.objects),
         "one_cells": [[c.id, c.src, c.tgt] for c in B.one_cells],
         "two_cells": [[t.id, t.src, t.tgt] for t in B.two_cells],
-        "id1": [[x, B.id1[x]] for x in B.objects],
-        "id2": [[c.id, B.id2[c.id]] for c in B.one_cells],
-        "hcomp1": _walk_rows(B.hcomp1, composable_pairs(B)),
-        "vcomp": _walk_rows(B.vcomp, vertical_pairs(B)),
-        "whisk_left": _walk_rows(B.whisk_left, lwhisker_pairs(B)),
-        "whisk_right": _walk_rows(B.whisk_right, rwhisker_pairs(B)),
-        "assoc": _walk_rows(B.assoc, composable_triples(B)),
-        "runit": [[f.id, B.runit[f.id]] for f in B.one_cells],
-        "lunit": [[f.id, B.lunit[f.id]] for f in B.one_cells],
+        **{t.name: _table_rows(t, B) for t in TABLES.values()},
         "strict": B.strict,
     }
     if pres.classes:
@@ -313,24 +289,15 @@ def export_presentation(pres: Presentation) -> str:
         blocks = []
         for pname, F in pres.psfuns.items():
             sref, tref = pres.psfun_refs.get(pname, ("self", "self"))
-            src = F.source
-            blocks.append(
-                {
-                    "name": pname,
-                    "source": sref,
-                    "target": tref,
-                    "f0": [[x, F.f0[x]] for x in src.objects],
-                    "f1": [[c.id, F.f1[c.id]] for c in src.one_cells],
-                    "f2": [[t.id, F.f2[t.id]] for t in src.two_cells],
-                    "psi": _walk_rows(F.psi, composable_pairs(src)),
-                    "sigma": [[x, F.sigma[x]] for x in src.objects],
-                }
-            )
+            tables = {t.name: _table_rows(t, F) for t in PSFUN_TABLES.values()}
+            blocks.append({"name": pname, "source": sref, "target": tref, **tables})
         doc["psfuns"] = blocks
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _walk_rows(table: dict, walk: Iterable[tuple]) -> list[list[str]]:
-    """Rows ``[key..., value]`` of ``table``, in the order its domain walk yields the keys."""
-    keys = (tuple(c.id for c in cells) for cells in walk)
-    return [[*key, table[key]] for key in keys]
+def _table_rows(table: Table, owner) -> list[list[str]]:
+    """``owner``'s rows ``[key..., value]`` of ``table``, in the order its walk yields the keys."""
+    values = getattr(owner, table.name)
+    if len(table.parts) == 1:
+        return [[k, values[k]] for k in table.walk(owner)]
+    return [[*k, values[k]] for k in table.walk(owner)]

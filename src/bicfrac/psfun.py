@@ -2,11 +2,14 @@
 
 A `PsFun` records object, 1-cell and 2-cell maps together with the
 compositor ``psi[(g, f)]: F(g∘f) ⇒ F(g)∘F(f)`` and the unit comparison
-``sigma[A]: F(id_A) ⇒ id_{F(A)}``.  `validate_psfun` checks the whole
-definition exhaustively: totality and boundary preservation, strict
-functoriality on 2-cells, invertibility of the comparison cells, naturality
-of the compositor in both arguments at once, the associativity hexagon and
-both unit triangles; `require_pseudofunctor` refuses a map that fails it.
+``sigma[A]: F(id_A) ⇒ id_{F(A)}``.  Each of the five tables is stated
+once in `PSFUN_TABLES`, as `core.TABLES` states a bicategory's: its keys
+walked over the source in row order, and the frame each key's value must
+lie in.  `validate_psfun` checks the whole definition exhaustively:
+totality and boundary preservation, strict functoriality on 2-cells,
+invertibility of the comparison cells, naturality of the compositor in
+both arguments at once, the associativity hexagon and both unit triangles;
+`require_pseudofunctor` refuses a map that fails it.
 `conjugate` carries a 2-cell between composites to one between the
 composites of their images, through the compositor.
 """
@@ -18,10 +21,11 @@ from functools import partial
 from typing import Optional
 
 from .core import (
+    TABLES,
     FinBicat,
     PreconditionError,
+    Table,
     Violation,
-    composable_pairs,
     composable_triples,
     has_reverse,
     hcompose2,
@@ -60,59 +64,59 @@ class PsFunReport:
         return {v.law for v in self.violations}
 
 
+# The five tables of a `PsFun`, over its source, in the order a document lists them.
+PSFUN_TABLES: dict[str, Table] = {t.name: t for t in (
+    Table("f0", ("object",), "object", "a source object", lambda F: F.source.objects, lambda F, x: ()),
+    Table("f1", ("1-cell",), "1-cell", "a source 1-cell", lambda F: (c.id for c in F.source.one_cells),
+          lambda F, f: (F.f0.get(F.source.one(f).src), F.f0.get(F.source.one(f).tgt))),
+    Table("f2", ("2-cell",), "2-cell", "a source 2-cell", lambda F: (t.id for t in F.source.two_cells),
+          lambda F, a: (F.f1.get(F.source.src1(a)), F.f1.get(F.source.tgt1(a)))),
+    Table("psi", ("1-cell", "1-cell"), "2-cell", "a composable pair of the source",
+          lambda F: TABLES["hcomp1"].walk(F.source),
+          lambda F, g, f: (F.f1.get(F.source.hcomp1.get((g, f))),
+                           F.target.hcomp1.get((F.f1.get(g), F.f1.get(f))))),
+    Table("sigma", ("object",), "2-cell", "a source object", lambda F: F.source.objects,
+          lambda F, x: (F.f1.get(F.source.id1.get(x)), F.target.id1.get(F.f0.get(x)))),
+)}
+
+
+def strict_psfun(
+    source: FinBicat,
+    target: FinBicat,
+    f0: dict[str, str],
+    f1: dict[str, str],
+    f2: dict[str, str],
+    name: str = "",
+) -> PsFun:
+    """A pseudofunctor whose comparison cells are the identity 2-cells on their frames' targets.
+
+    Suits maps between strict bicategories that preserve composition on the
+    nose; `validate_psfun` still gets the final word.
+    """
+    F = PsFun(source, target, dict(f0), dict(f1), dict(f2), {}, {}, name)
+    for table in (PSFUN_TABLES["psi"], PSFUN_TABLES["sigma"]):
+        getattr(F, table.name).update((key, target.id2[tgt]) for key, (_, tgt) in table.frames(F))
+    return F
+
+
 def identity_psfun(B: FinBicat) -> PsFun:
-    return PsFun(
-        source=B,
-        target=B,
-        f0={x: x for x in B.objects},
-        f1={c.id: c.id for c in B.one_cells},
-        f2={t.id: t.id for t in B.two_cells},
-        psi={(g.id, f.id): B.id2[B.hcomp1[(g.id, f.id)]] for g, f in composable_pairs(B)},
-        sigma={x: B.id2[B.id1[x]] for x in B.objects},
-        name=f"id[{B.name}]" if B.name else "id",
+    return strict_psfun(
+        B, B, {x: x for x in B.objects}, {c.id: c.id for c in B.one_cells}, {t.id: t.id for t in B.two_cells},
+        f"id[{B.name}]" if B.name else "id",
     )
 
 
 def structural_psfun_violations(F: PsFun) -> list[Violation]:
     """Every totality and typing fault of a pseudofunctor's tables.
 
-    Each table must hold exactly the keys its source requires, its values
-    must be declared in the target, and each value must have the endpoints
-    or boundary its key dictates: ``F(f): F(x) → F(y)``, ``F(a): F(f) ⇒
+    Each table must hold exactly the keys its source requires
+    (`PSFUN_TABLES`), and each value must be declared in the target and lie
+    in the frame its key dictates: ``F(f): F(x) → F(y)``, ``F(a): F(f) ⇒
     F(g)``, ``psi[(g, f)]: F(g∘f) ⇒ F(g)∘F(f)`` and ``sigma[x]: F(id_x) ⇒
     id_F(x)``.  Violations are shaped as in `table_violations`.
     """
-    S, T = F.source, F.target
-    s_obj, s_one, s_two = (S._cache[k] for k in ("obj_pos", "one_by_id", "two_by_id"))
-    t_obj, t_one, t_two = (T._cache[k] for k in ("obj_pos", "one_by_id", "two_by_id"))
-    f0, f1 = F.f0, F.f1
-    out = table_violations(
-        "f0", f0, ((x, ()) for x in S.objects), t_obj,
-        lambda k: k in s_obj, "a source object", kind="object",
-    )
-    out += table_violations(
-        "f1", f1, ((c.id, (f0.get(c.src), f0.get(c.tgt))) for c in S.one_cells),
-        t_one, lambda k: k in s_one, "a source 1-cell",
-    )
-    out += table_violations(
-        "f2", F.f2, ((t.id, (f1.get(t.src), f1.get(t.tgt))) for t in S.two_cells),
-        t_two, lambda k: k in s_two, "a source 2-cell",
-    )
-    out += table_violations(
-        "psi", F.psi,
-        (((g.id, f.id), (f1.get(S.hcomp1.get((g.id, f.id))),
-                         T.hcomp1.get((f1.get(g.id), f1.get(f.id)))))
-         for g, f in composable_pairs(S)),
-        t_two,
-        lambda k: k[0] in s_one and k[1] in s_one and s_one[k[0]].src == s_one[k[1]].tgt,
-        "a composable pair of the source",
-    )
-    out += table_violations(
-        "sigma", F.sigma,
-        ((x, (f1.get(S.id1.get(x)), T.id1.get(f0.get(x)))) for x in S.objects),
-        t_two, lambda k: k in s_obj, "a source object",
-    )
-    return out
+    declared = F.target._cache["declared"]
+    return [v for t in PSFUN_TABLES.values() for v in table_violations(t, F, declared[t.value])]
 
 
 def _psfun_law_violations(F: PsFun) -> list[Violation]:

@@ -22,6 +22,7 @@ from bicfrac.conditions import (
     check_B,
     check_EF,
     check_X,
+    check_family,
     cross_validate_theorems,
     is_weak_equivalence,
     recheck_witness,
@@ -395,6 +396,37 @@ def test_check_x_rejects_unknown_tags(toy):
     for which in ("X3", "B1", 1, True):
         with pytest.raises(ValueError, match="unknown condition"):
             check_X(identity_psfun(toy), which)
+
+
+def test_a_missing_class_is_a_value_error_before_any_precondition(toy, classes):
+    F, W = identity_psfun(toy), classes["W"]
+    calls = [
+        (lambda: check_family(F, "A", W, None), "A1 needs the target class"),
+        (lambda: check_family(F, "A", None, W), "A1 needs the source class"),
+        (lambda: check_family(F, "B"), "B2 needs the source class"),
+        (lambda: check_family(F, "EF"), "EF2 needs the source class"),
+        (lambda: check_A(F, W, None, 3), "A3 needs the target class"),
+        (lambda: check_B(F, None, 2), "B2 needs the source class"),
+        (lambda: check_EF(F, None, 2), "EF2 needs the source class"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert check_EF(F, None, 1).holds
+    assert [r.tag for r in check_family(F, "X")] == ["X1", "X2a", "X2b", "X2c"]
+
+
+def test_replaying_a_witness_without_its_class_is_a_value_error(toy, classes):
+    F, W = identity_psfun(toy), classes["W"]
+    a1, ef2 = check_A(F, W, W, 1), check_EF(F, W, 2)
+    for report, W_A, W_B, message in [
+        (a1, W, None, "A1 needs the target class"),
+        (a1, None, W, "A1 needs the source class"),
+        (ef2, None, None, "EF2 needs the source class"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recheck_witness(F, report, W_A, W_B)
+    assert recheck_witness(F, check_EF(F, None, 1))
 
 
 def test_mutated_witness_is_rejected(toy, classes):

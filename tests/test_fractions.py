@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import importlib.util
+import json
 import random
 import sys
 import weakref
@@ -12,19 +13,16 @@ from pathlib import Path
 import pytest
 
 from bicfrac import core, fractions
-from bicfrac.builders import appendix_toy, arrow2, iso2, iso2_classes, toy_classes, toyq
+from bicfrac.builders import appendix_toy, arrow2, iso2, iso2_classes, theorem_suite, toy_classes, toyq
 from bicfrac.core import (
     FinBicat,
     PreconditionError,
     ValidationReport,
     Violation,
-    composable_pairs,
-    composable_triples,
     inv_cells2,
     lwhisker_pairs,
     rwhisker_pairs,
     validate_bicat,
-    vertical_pairs,
 )
 from bicfrac.fractions import (
     LocalizationError,
@@ -43,7 +41,7 @@ from bicfrac.fractions import (
 )
 from bicfrac.conditions import cross_validate_theorems
 from bicfrac.presentation import Presentation, export_presentation, load_document
-from bicfrac.psfun import identity_psfun
+from bicfrac.psfun import PSFUN_TABLES, identity_psfun
 from bicfrac.wclass import WClass, check_bf, quasi_units, saturate
 from pasting_reference import Assoc, AssocInv, Atom, WhiskL, WhiskR, eval_pasting, vchain
 import whisker_reference
@@ -596,24 +594,58 @@ def test_localization_documents_match_the_pinned_digests():
     assert got == LOCALIZATION_DIGESTS
 
 
-# Each binary and ternary table's domain walk, and the position (1-cell or
-# 2-cell) of each part of its keys.
+# Each table, and the declaration position (object, 1-cell or 2-cell) of each
+# part of its keys: a `FinBicat`'s in ``B``, a `PsFun`'s in its source.
 WALKS = {
-    "hcomp1": (composable_pairs, ("pos1", "pos1")),
-    "vcomp": (vertical_pairs, ("pos2", "pos2")),
-    "whisk_left": (lwhisker_pairs, ("pos1", "pos2")),
-    "whisk_right": (rwhisker_pairs, ("pos2", "pos1")),
-    "assoc": (composable_triples, ("pos1", "pos1", "pos1")),
+    "id1": ("posO",),
+    "id2": ("pos1",),
+    "hcomp1": ("pos1", "pos1"),
+    "vcomp": ("pos2", "pos2"),
+    "whisk_left": ("pos1", "pos2"),
+    "whisk_right": ("pos2", "pos1"),
+    "assoc": ("pos1", "pos1", "pos1"),
+    "runit": ("pos1",),
+    "lunit": ("pos1",),
+}
+PSFUN_WALKS = {
+    "f0": ("posO",),
+    "f1": ("pos1",),
+    "f2": ("pos2",),
+    "psi": ("pos1", "pos1"),
+    "sigma": ("posO",),
 }
 
 
-def assert_walks_are_the_table_domains(B: FinBicat) -> None:
-    """Each walk yields its table's keys, each once, ordered by declaration position."""
-    for table, (walk, parts) in WALKS.items():
-        keys = [tuple(cell.id for cell in cells) for cells in walk(B)]
-        pos = [getattr(B, part) for part in parts]
-        want = sorted(getattr(B, table), key=lambda k: tuple(p(x) for p, x in zip(pos, k)))
-        assert keys == want, (B.name, table)
+def assert_walks_are_the_table_domains(
+    owner, tables: dict, walks: dict, source: FinBicat, target: FinBicat, rows: dict
+) -> None:
+    """Each walk yields its table's keys once each, by declaration position, as ``rows`` lists them.
+
+    Each value also lies in the frame its key's walk yields, as a cell of ``target``.
+    """
+    assert list(tables) == list(walks)
+    for name, parts in walks.items():
+        spec, table = tables[name], getattr(owner, name)
+        keys = list(spec.walk(owner))
+        pos = [getattr(source, part) for part in parts]
+        tupled = [k if len(parts) > 1 else (k,) for k in keys]
+        assert sorted(tupled, key=lambda k: tuple(p(x) for p, x in zip(pos, k))) == tupled, name
+        assert len(set(keys)) == len(keys) == len(table) and set(keys) == set(table), name
+        assert [tuple(row[:-1]) for row in rows[name]] == tupled, name
+        for key, frame in spec.frames(owner):
+            if frame:
+                cell = target.one(table[key]) if spec.value == "1-cell" else target.two(table[key])
+                assert (cell.src, cell.tgt) == frame, (name, key)
+
+
+def assert_bicat_walks(B: FinBicat) -> None:
+    rows = json.loads(export_presentation(Presentation(B, {}, {}, B.name)))
+    assert_walks_are_the_table_domains(B, core.TABLES, WALKS, B, B, rows)
+
+
+def assert_psfun_walks(F) -> None:
+    (rows,) = json.loads(export_presentation(Presentation(F.source, {}, {"F": F})))["psfuns"]
+    assert_walks_are_the_table_domains(F, PSFUN_TABLES, PSFUN_WALKS, F.source, F.target, rows)
 
 
 def test_domain_walks_are_the_table_domains():
@@ -622,6 +654,13 @@ def test_domain_walks_are_the_table_domains():
     cases = pinned_classes()
     assert len(docs) == 8 and len(cases) == len(LOCALIZATION_DIGESTS)
     for doc in docs:
-        assert_walks_are_the_table_domains(doc.bicat)
+        assert_bicat_walks(doc.bicat)
+        for F in doc.psfuns.values():
+            assert_psfun_walks(F)
     for _, B, W in cases:
-        assert_walks_are_the_table_domains(materialize_fractions(B, W, validate=False).bicat)
+        assert_bicat_walks(materialize_fractions(B, W, validate=False).bicat)
+    suite = theorem_suite()
+    assert len(suite) == 7
+    for case in suite:
+        assert_psfun_walks(case.psfun)
+        assert_psfun_walks(induce_g_tilde(case.psfun, case.w_src, case.w_tgt).psfun)

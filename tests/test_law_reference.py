@@ -27,14 +27,12 @@ from bicfrac.builders import (
     toyq,
 )
 from bicfrac.core import (
+    TABLES,
     FinBicat,
     TwoCell,
     Violation,
-    composable_triples,
     hcompose2,
     is_invertible2,
-    lwhisker_pairs,
-    rwhisker_pairs,
     two_cell_inverse,
     validate_bicat,
     vcompose,
@@ -349,22 +347,17 @@ def refilled(B: FinBicat, hcomp1: dict) -> FinBicat:
     depend on ``hcomp1`` and are kept.
     """
     H = {**B.hcomp1, **hcomp1}
+    over = dataclasses.replace(B, hcomp1=H)  # whose frames look up the new composites
 
     def only(f: str, g: str) -> str:
         (cell,) = B.cells2(f, g)
         return cell
 
+    refills = ("whisk_left", "whisk_right", "assoc", "runit", "lunit")
     return dataclasses.replace(
         B,
         hcomp1=H,
-        whisk_left={(g.id, a.id): only(H[(g.id, a.src)], H[(g.id, a.tgt)]) for g, a in lwhisker_pairs(B)},
-        whisk_right={(b.id, f.id): only(H[(b.src, f.id)], H[(b.tgt, f.id)]) for b, f in rwhisker_pairs(B)},
-        assoc={
-            (h.id, g.id, f.id): only(H[(h.id, H[(g.id, f.id)])], H[(H[(h.id, g.id)], f.id)])
-            for h, g, f in composable_triples(B)
-        },
-        runit={c.id: only(H[(c.id, B.id1[c.src])], c.id) for c in B.one_cells},
-        lunit={c.id: only(H[(B.id1[c.tgt], c.id)], c.id) for c in B.one_cells},
+        **{name: {key: only(*frame) for key, frame in TABLES[name].frames(over)} for name in refills},
         strict=False,
         name=f"{B.name}~{sorted(hcomp1)}",
     )

@@ -65,6 +65,17 @@ def test_validator_catches_broken_compositor(toy):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("key", [("v", "idA", "idA"), ("v",), "v", ("idA", "v")])
+def test_a_compositor_key_outside_the_composable_pairs_is_an_extra_entry(toy, key):
+    F = identity_psfun(toy)
+    rep = validate_psfun(dataclasses.replace(F, psi={**F.psi, key: "iv"}))
+    assert not rep.passed
+    (v,) = rep.violations
+    assert v.law == "structure:psi"
+    assert v.cells == (key if type(key) is tuple else (key,))
+    assert v.detail == "extra entry: not a composable pair of the source"
+
+
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_validator_reports_the_faults_of_either_side(side):
     B = bench_corpus().chain(3, random.Random(3)).build()
