@@ -7,6 +7,12 @@ column of keys or values at a time, with set, map and zip operations that
 run in C, and each is true exactly when its walk would find nothing.  So
 the walks run only when a check fails, and what they report is unchanged.
 
+No frame is stated here.  `well_formed` decides the domains itself, by the
+tables' sizes and the fit of the ``hcomp1`` and ``vcomp`` keys, and checks
+every table's values against that table's own frame rule (`core.TABLES`),
+a rule over whole columns read through `key_columns` and `ends`, which the
+entry walks read too.
+
 The checks read each column through a fresh iterator over its table rather
 than copying it out, so they allocate little beyond a few small sets.  They
 live apart from `core` because a process that finds no cached bytecode
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -49,85 +55,66 @@ def declared(table: dict, key_sets: list[dict], values: dict) -> bool:
     )
 
 
-def well_formed(B: FinBicat) -> bool:
-    """Whether every table of ``B`` holds exactly its domain, with values of the right type.
+def well_formed(B: FinBicat, tables: dict) -> bool:
+    """Whether every table of ``B`` holds exactly its domain, with values in their frames.
 
-    Keys must be declared cells of the right kind, as construction checks,
-    so that keys that fit their domain, as many as it has, are all of it.
-    Each table but ``hcomp1`` must be as large as its domain, counted from
-    the indexes.  Then, one column of keys or values at a time, each key of
-    ``hcomp1`` and ``vcomp`` must fit its domain, each identity must end
-    at its object, and every other value must have the endpoints or
-    boundary its key dictates, the whiskering, associator and unitor
-    tables' looked up in ``hcomp1``.  The rest follows:
+    ``tables`` states each table, in order, as `core.TABLES` does.  Keys
+    must be declared cells of the right kind, as construction checks, so
+    that keys that fit their domain, as many as it has, are all of it.  Each
+    table but ``hcomp1`` must be as large as its domain, counted from the
+    indexes, and each key of ``hcomp1`` and ``vcomp`` must fit its domain.
+    Then, one column of keys or values at a time, each value must lie in the
+    frame its table's rule gives its key.  The rest follows:
 
-    - the other tables' keys fit, since ``hcomp1`` holds composable pairs
-      only and each of their keys looks up its composites there;
+    - the other tables' keys fit, since each looks up its composites in
+      ``hcomp1``, which holds composable pairs only, so a key that does not
+      fit finds none, and no value lies in a frame that holds None;
     - ``hcomp1`` holds every composable pair ``(g, f)``, since
-      ``whisk_left`` then holds ``(g, id2[f])``, which looks it up;
-    - each identity starts at its object ``x``: ``lunit`` at
-      ``f = id1[x]`` looks up ``(f, f)``, so ``f`` is composable with itself;
-    - each composite has the endpoints of its pair ``(g, f)``: ``assoc``
-      at ``(g, f, id1[src f])`` and ``(id1[tgt g], g, f)`` looks it up
-      composed with an identity.
+      ``whisk_left`` then holds ``(g, id2[f])``, which looks it up.
     """
-    H, I1, I2, V = B.hcomp1, B.id1, B.id2, B.vcomp
-    WL, WR, A, RU, LU = B.whisk_left, B.whisk_right, B.assoc, B.runit, B.lunit
-    n1 = len(B.one_cells)
 
     def per_object(left: Callable, right: Callable) -> int:
         return sum(len(left(x)) * len(right(x)) for x in B.objects)
 
+    n1 = len(B.one_cells)
     sizes = (
         len(B.objects), n1,
         sum(len(B.from2(f.id)) * len(B.into2(f.id)) for f in B.one_cells),
         per_object(B.from1, B.over_into), per_object(B.over_from, B.into1),
         sum(len(B.from1(g.tgt)) * len(B.into1(g.src)) for g in B.one_cells), n1, n1,
     )
-    if tuple(map(len, (I1, I2, V, WL, WR, A, RU, LU))) != sizes:
+    if tuple(len(getattr(B, name)) for name in tables if name != "hcomp1") != sizes:
         return False
-    s1, t1 = _ends(B.one_cells)
-    s2, t2 = _ends(B.two_cells)
-
-    def at(d: dict, xs: Iterable) -> Iterator:
-        return map(d.get, xs)
-
-    hg, hf = _columns(H, 2)
-    vb, va = _columns(V, 2)
-    lg, la = _columns(WL, 2)
-    rb, rf = _columns(WR, 2)
-    ah, ag, af = _columns(A, 3)
-    pairs = (  # columns that must agree entry by entry, table by table
-        (at(t1, I1.values()), I1),
-        (at(s2, I2.values()), I2),
-        (at(t2, I2.values()), I2),
-        (at(s1, hg()), at(t1, hf())),
-        (at(s2, vb()), at(t2, va())),
-        (at(s2, V.values()), at(s2, va())),
-        (at(t2, V.values()), at(t2, vb())),
-        (at(s2, WL.values()), at(H, zip(lg(), at(s2, la())))),
-        (at(t2, WL.values()), at(H, zip(lg(), at(t2, la())))),
-        (at(s2, WR.values()), at(H, zip(at(s2, rb()), rf()))),
-        (at(t2, WR.values()), at(H, zip(at(t2, rb()), rf()))),
-        (at(s2, A.values()), at(H, zip(ah(), at(H, zip(ag(), af()))))),
-        (at(t2, A.values()), at(H, zip(at(H, zip(ah(), ag())), af()))),
-        (at(s2, RU.values()), at(H, zip(RU, at(I1, at(s1, RU))))),
-        (at(t2, RU.values()), RU),
-        (at(s2, LU.values()), at(H, zip(at(I1, at(t1, LU)), LU))),
-        (at(t2, LU.values()), LU),
-    )
-    got, want = zip(*pairs)
+    src, tgt = {}, {}  # each cell's ends, by id; cheaper to look up than the cells
+    for c in chain(B.one_cells, B.two_cells):
+        src[c.id], tgt[c.id] = c.src, c.tgt
+    hg, hf = key_columns(B.hcomp1, 2)
+    vb, va = key_columns(B.vcomp, 2)
+    got = [map(src.get, hg()), map(src.get, vb())]
+    want = [map(tgt.get, hf()), map(tgt.get, va())]
+    for t in tables.values():
+        entries = getattr(B, t.name)
+        got += map(src.get, entries.values()), map(tgt.get, entries.values())
+        want += t.frame(B, *key_columns(entries, len(t.parts)))
     return all(map(eq, chain(*got), chain(*want)))
 
 
-def _ends(cells: Iterable) -> tuple[dict, dict]:
-    """Each cell's source and its target, by id."""
-    src, tgt = {}, {}
-    for c in cells:
-        src[c.id], tgt[c.id] = c.src, c.tgt
-    return src, tgt
+def key_columns(keys: Iterable, width: int) -> list[Callable[[], Iterator]]:
+    """For each of the ``width`` parts of ``keys``, a callable returning a fresh iterator over that column.
+
+    ``keys`` is iterated afresh on each call, so it must be a collection,
+    such as a list or a table; a key of one part is bare.
+    """
+    if width == 1:
+        return [keys.__iter__]
+    return [partial(map, itemgetter(i), keys) for i in range(width)]
 
 
-def _columns(table: dict, width: int) -> list[Callable[[], Iterator]]:
-    """For each of the ``width`` parts of ``table``'s keys, a fresh iterator over that column."""
-    return [partial(map, itemgetter(i), table) for i in range(width)]
+def ends(B: FinBicat, kind: str, column: Callable[[], Iterable]) -> tuple[Iterator, Iterator]:
+    """The sources and the targets of the ``kind`` cells of ``B`` that ``column`` names.
+
+    Each id must be declared, as construction checks of every table's keys
+    and values; the cells are read from the declared-cell index.
+    """
+    cell = B._cache["declared"][kind].__getitem__
+    return map(attrgetter("src"), map(cell, column())), map(attrgetter("tgt"), map(cell, column()))

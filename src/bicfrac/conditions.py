@@ -693,7 +693,8 @@ def check_family(
 
     ``family`` is ``"A"`` (classes ``W_A`` and ``W_B``), ``"B"`` or ``"EF"``
     (``W_A`` only) or ``"X"`` (no class); a member that reads a class not
-    given raises `ValueError`, as `recheck_witness` does.  Then
+    given raises `ValueError`, as `recheck_witness` does, and so does any
+    member of ``B`` without ``W_A``, which its precondition reads.  Then
     `PreconditionError` is raised unless, for ``A``, both classes satisfy
     the localization axioms and ``F`` sends ``W_A`` into the right
     saturation of ``W_B``, and, for ``B``, ``F`` sends ``W_A`` to internal
@@ -719,6 +720,8 @@ def _check_one(F: PsFun, family: str, which, W_A=None, W_B=None) -> ConditionRep
     else:
         tag = tags[which - 1]
     _require_classes((tag,), W_A, W_B)
+    if family == "B" and W_A is None:  # B1 and B3 read no class, but B's precondition does
+        raise ValueError(f"{tag} needs the source class")
     precondition(F, W_A, W_B)
     return _report(tag, F, W_A, W_B)
 
@@ -772,19 +775,20 @@ def recheck_witness(
     The witness is accepted when it is one of the candidates the search
     generates for its input and solves the condition's equation there.  A
     forged witness, one that names an undeclared cell or a cell of the wrong
-    kind anywhere or has the wrong number of cells, is rejected, not raised
-    on, and so is a report whose tag names no condition.
+    kind anywhere, has the wrong number of cells or is not a pair of
+    sequences of ids, is rejected, not raised on, and so is a report whose
+    tag names no condition.
     """
     if not isinstance(report.tag, str) or report.tag not in _BUILDERS:
         return False
     if not report.holds or report.witness is None:
         raise ValueError(f"report for {report.tag} carries no witness")
-    u, w = (tuple(cells) for cells in report.witness)  # as read back from JSON too
     _require_classes((report.tag,), W_A, W_B)
     prob = _BUILDERS[report.tag](F, W_A, W_B)
     try:
+        u, w = (tuple(cells) for cells in report.witness)  # as read back from JSON too
         return w in prob.candidates(u) and prob.holds(u, w)
-    except (KeyError, ValueError):  # an unknown cell, a mistyped one, a wrong arity
+    except (KeyError, TypeError, ValueError):  # a wrong shape, an unknown, unhashable or mistyped cell, a wrong arity
         return False
 
 

@@ -10,17 +10,18 @@ binary and ternary table is walked through those indexes by one function
 (`composable_pairs`, `composable_triples`, `vertical_pairs`,
 `lwhisker_pairs`, `rwhisker_pairs`), which the law checks iterate.  Each
 of the nine tables is stated once, in `TABLES`: the kinds of its key parts
-and values, a walk of its keys in row order and the rule giving each key's
-frame, the ``(src, tgt)`` its value must have.  Construction, both
+and values, a walk of its keys in row order and one rule over whole key
+columns giving the frame, the ``(src, tgt)``, each value must have
+(`Table.frames` pairs each key with its own).  Construction, both
 structural checks, the document reader and writer, and the builders that
 fill tables read it, and `psfun.PSFUN_TABLES` states a pseudofunctor's
 five tables the same way.  `structural_violations` checks
 that every table is total and well typed, deciding the tables whole, one
-column of keys or values at a time (`columns`), and walking their domains
-only to name faults; `validate_bicat` runs that check and then the axioms
-exhaustively, once per bicategory.  A fixed chain
-of 2-cells (a pasting diagram read in application order) is evaluated by
-table lookups, one per factor (`assoc_cell`, `whisker_left`,
+column of keys or values at a time (`columns`, which applies each table's
+own rule), and walking their domains only to name faults; `validate_bicat`
+runs that check and then the axioms exhaustively, once per bicategory.  A
+fixed chain of 2-cells (a pasting diagram read in application order) is
+evaluated by table lookups, one per factor (`assoc_cell`, `whisker_left`,
 `inverse_cell`, ...), folded by the checked vertical composite `vfold`;
 each raises `TypingError` where the chain is ill typed.  Small search utilities (`two_cell_inverse`,
 `internal_equivalence_witness`) decide invertibility.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, filterfalse, starmap, tee
+from itertools import chain, filterfalse, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import columns
@@ -543,12 +544,14 @@ class Table:
     ``parts`` are the kinds of a key's parts and ``value`` the kind of its
     value, each ``"object"``, ``"1-cell"`` or ``"2-cell"``.  ``walk`` yields
     the domain's keys in row order, the order a document lists them: a bare
-    id for a key of one part, else a tuple of ids.  ``frame`` maps a key's
-    parts to the ``(src, tgt)`` its value must have, holding None where it
-    looks up a missing entry, or to ``()`` when the values have none.  A key
-    outside the domain is an extra entry, not ``noun``.  ``walk`` and
-    ``frame`` take the tables' owner first: a `FinBicat`, or a `PsFun` for
-    its own tables.
+    id for a key of one part, else a tuple of ids.  ``frame`` is the rule
+    for the ``(src, tgt)`` the values must have, over whole columns of keys:
+    given, for each key part, a callable returning a fresh iterator over
+    that column (`columns.key_columns`), it returns an iterator of sources
+    and one of targets, holding None wherever it looks up a missing entry.
+    It is None when the values have no frame.  A key outside the domain is
+    an extra entry, not ``noun``.  ``walk`` and ``frame`` take the tables'
+    owner first: a `FinBicat`, or a `PsFun` for its own tables.
     """
 
     name: str
@@ -556,56 +559,49 @@ class Table:
     value: str
     noun: str
     walk: Callable[[object], Iterable]
-    frame: Callable[..., tuple]
+    frame: Optional[Callable[..., tuple[Iterator, Iterator]]]
 
     def frames(self, owner) -> Iterator[tuple[object, tuple]]:
-        """Each key of the domain with the frame of its value, in row order."""
-        keys, args = tee(self.walk(owner))
-        frame = partial(self.frame, owner)
-        return zip(keys, map(frame, args) if len(self.parts) == 1 else starmap(frame, args))
+        """Each key of the domain with the frame of its value, or ``()`` when the values have none, in row order."""
+        if self.frame is None:
+            return zip(self.walk(owner), repeat(()))
+        keys = list(self.walk(owner))  # the rule reads each column afresh, some more than once
+        return zip(keys, zip(*self.frame(owner, *columns.key_columns(keys, len(self.parts)))))
 
 
 def _one_ids(B: FinBicat) -> Iterator[str]:
     return (c.id for c in B.one_cells)
 
 
-def _lwhisker_frame(B: FinBicat, g: str, a: str) -> tuple:
-    H, t = B.hcomp1, B.two(a)
-    return H.get((g, t.src)), H.get((g, t.tgt))
-
-
-def _rwhisker_frame(B: FinBicat, b: str, f: str) -> tuple:
-    H, t = B.hcomp1, B.two(b)
-    return H.get((t.src, f)), H.get((t.tgt, f))
-
-
-def _assoc_frame(B: FinBicat, h: str, g: str, f: str) -> tuple:
-    H = B.hcomp1
-    return H.get((h, H.get((g, f)))), H.get((H.get((h, g)), f))
+def _composites(B: FinBicat, left: Iterable, right: Iterable) -> Iterator:
+    """``g∘f`` for each ``g`` of ``left`` and ``f`` of ``right`` in step, None where ``hcomp1`` has none."""
+    return map(B.hcomp1.get, zip(left, right))
 
 
 # The nine tables of a `FinBicat`, in the order a document lists them.
 TABLES: dict[str, Table] = {t.name: t for t in (
-    Table("id1", ("object",), "1-cell", "an object", lambda B: B.objects, lambda B, x: (x, x)),
-    Table("id2", ("1-cell",), "2-cell", "a 1-cell", _one_ids, lambda B, f: (f, f)),
+    Table("id1", ("object",), "1-cell", "an object", lambda B: B.objects, lambda B, x: (x(), x())),
+    Table("id2", ("1-cell",), "2-cell", "a 1-cell", _one_ids, lambda B, f: (f(), f())),
     Table("hcomp1", ("1-cell", "1-cell"), "1-cell", "a composable pair",
           lambda B: ((g.id, f.id) for g, f in composable_pairs(B)),
-          lambda B, g, f: (B.one(f).src, B.one(g).tgt)),
+          lambda B, g, f: (columns.ends(B, "1-cell", f)[0], columns.ends(B, "1-cell", g)[1])),
     Table("vcomp", ("2-cell", "2-cell"), "2-cell", "a composable pair",
           lambda B: ((b.id, a.id) for b, a in vertical_pairs(B)),
-          lambda B, b, a: (B.two(a).src, B.two(b).tgt)),
+          lambda B, b, a: (columns.ends(B, "2-cell", a)[0], columns.ends(B, "2-cell", b)[1])),
     Table("whisk_left", ("1-cell", "2-cell"), "2-cell", "a whiskerable pair",
           lambda B: ((g.id, a.id) for g, a in lwhisker_pairs(B)),
-          _lwhisker_frame),
+          lambda B, g, a: tuple(_composites(B, g(), end) for end in columns.ends(B, "2-cell", a))),
     Table("whisk_right", ("2-cell", "1-cell"), "2-cell", "a whiskerable pair",
           lambda B: ((b.id, f.id) for b, f in rwhisker_pairs(B)),
-          _rwhisker_frame),
+          lambda B, b, f: tuple(_composites(B, end, f()) for end in columns.ends(B, "2-cell", b))),
     Table("assoc", ("1-cell", "1-cell", "1-cell"), "2-cell", "a composable triple",
-          lambda B: ((h.id, g.id, f.id) for h, g, f in composable_triples(B)), _assoc_frame),
+          lambda B: ((h.id, g.id, f.id) for h, g, f in composable_triples(B)),
+          lambda B, h, g, f: (_composites(B, h(), _composites(B, g(), f())),
+                              _composites(B, _composites(B, h(), g()), f()))),
     Table("runit", ("1-cell",), "2-cell", "a 1-cell", _one_ids,
-          lambda B, f: (B.hcomp1.get((f, B.id1.get(B.one(f).src))), f)),
+          lambda B, f: (_composites(B, f(), map(B.id1.get, columns.ends(B, "1-cell", f)[0])), f())),
     Table("lunit", ("1-cell",), "2-cell", "a 1-cell", _one_ids,
-          lambda B, f: (B.hcomp1.get((B.id1.get(B.one(f).tgt), f)), f)),
+          lambda B, f: (_composites(B, map(B.id1.get, columns.ends(B, "1-cell", f)[1]), f()), f())),
 )}
 
 
@@ -663,7 +659,7 @@ def structural_violations(B: FinBicat) -> list[Violation]:
     if "structure" in B._cache:
         return B._cache["structure"]
     declared = B._cache["declared"]
-    B._cache["structure"] = out = [] if columns.well_formed(B) else [
+    B._cache["structure"] = out = [] if columns.well_formed(B, TABLES) else [
         v for t in TABLES.values() for v in table_violations(t, B, declared[t.value])
     ]
     return out

@@ -4,8 +4,9 @@ A `PsFun` records object, 1-cell and 2-cell maps together with the
 compositor ``psi[(g, f)]: F(g∘f) ⇒ F(g)∘F(f)`` and the unit comparison
 ``sigma[A]: F(id_A) ⇒ id_{F(A)}``.  Each of the five tables is stated
 once in `PSFUN_TABLES`, as `core.TABLES` states a bicategory's: its keys
-walked over the source in row order, and the frame each key's value must
-lie in.  `validate_psfun` checks the whole definition exhaustively:
+walked over the source in row order, and one rule over whole key columns
+giving the frames their values must lie in (none for ``f0``).
+`validate_psfun` checks the whole definition exhaustively:
 totality and boundary preservation, strict functoriality on 2-cells,
 invertibility of the comparison cells, naturality of the compositor in
 both arguments at once, the associativity hexagon and both unit triangles;
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
+from . import columns
 from .core import (
     TABLES,
     FinBicat,
@@ -66,17 +68,17 @@ class PsFunReport:
 
 # The five tables of a `PsFun`, over its source, in the order a document lists them.
 PSFUN_TABLES: dict[str, Table] = {t.name: t for t in (
-    Table("f0", ("object",), "object", "a source object", lambda F: F.source.objects, lambda F, x: ()),
+    Table("f0", ("object",), "object", "a source object", lambda F: F.source.objects, None),
     Table("f1", ("1-cell",), "1-cell", "a source 1-cell", lambda F: (c.id for c in F.source.one_cells),
-          lambda F, f: (F.f0.get(F.source.one(f).src), F.f0.get(F.source.one(f).tgt))),
+          lambda F, f: tuple(map(F.f0.get, end) for end in columns.ends(F.source, "1-cell", f))),
     Table("f2", ("2-cell",), "2-cell", "a source 2-cell", lambda F: (t.id for t in F.source.two_cells),
-          lambda F, a: (F.f1.get(F.source.src1(a)), F.f1.get(F.source.tgt1(a)))),
+          lambda F, a: tuple(map(F.f1.get, end) for end in columns.ends(F.source, "2-cell", a))),
     Table("psi", ("1-cell", "1-cell"), "2-cell", "a composable pair of the source",
           lambda F: TABLES["hcomp1"].walk(F.source),
-          lambda F, g, f: (F.f1.get(F.source.hcomp1.get((g, f))),
-                           F.target.hcomp1.get((F.f1.get(g), F.f1.get(f))))),
+          lambda F, g, f: (map(F.f1.get, map(F.source.hcomp1.get, zip(g(), f()))),
+                           map(F.target.hcomp1.get, zip(map(F.f1.get, g()), map(F.f1.get, f()))))),
     Table("sigma", ("object",), "2-cell", "a source object", lambda F: F.source.objects,
-          lambda F, x: (F.f1.get(F.source.id1.get(x)), F.target.id1.get(F.f0.get(x)))),
+          lambda F, x: (map(F.f1.get, map(F.source.id1.get, x())), map(F.target.id1.get, map(F.f0.get, x())))),
 )}
 
 

@@ -21,8 +21,21 @@ families reach the checks that only such inputs leave alone: an object no
 ``hcomp1`` with one entry moved or revalued and every table that looks it
 up rebuilt over it.
 
-Dropping any one column check of `columns` makes some test here fail;
-dropping one of `presentation`'s whole-row checks makes a test here or in
+Each table's frame rule, which reads whole columns of keys, is checked
+against the per-key rules of `frame_reference` through `Table.frames`: on
+every fixture and its pseudofunctors, the pinned localizations, the theorem
+suite's maps and their lifts, and mutants whose lookups miss, where the
+frames must hold None in the same places.
+
+Dropping any one of `columns`' domain checks (a table's size, the fit of
+the ``hcomp1`` or ``vcomp`` keys) or either end of any one table's value
+check makes some test here fail, but for checks that the others imply, so
+that no input fails them alone: ``hcomp1``'s, both ends, since each
+composite has the endpoints of its pair once the associators look it up
+composed with an identity, and one end of ``id1``'s, since each identity
+starts at its object once it ends there and the other way round, as
+``runit`` and ``lunit`` at ``f = id1[x]`` look up ``(f, f)``.  Dropping
+one of `presentation`'s whole-row checks makes a test here or in
 `test_presentation` fail.
 """
 
@@ -34,6 +47,7 @@ from itertools import chain, product
 import pytest
 
 from bicfrac import columns, core
+from bicfrac.builders import theorem_suite
 from bicfrac.core import (
     FinBicat,
     OneCell,
@@ -45,10 +59,12 @@ from bicfrac.core import (
     structural_violations,
     validate_bicat,
 )
-from bicfrac.fractions import materialize_fractions
+from bicfrac.fractions import induce_g_tilde, materialize_fractions
 from bicfrac.presentation import PresentationError, load_document, parse_presentation
+from bicfrac.psfun import PSFUN_TABLES, PsFun
 from test_cli import FIXTURE_DIR, SWAPPED_FIXTURES, one_swaps
-from test_fractions import GENERATED, fixture_bf_classes, generated_classes
+from test_fractions import GENERATED, fixture_bf_classes, generated_classes, pinned_classes
+import frame_reference
 
 # Each table, and the kind of each part of its keys and of its values:
 # "ob" an object, "one" a 1-cell, "two" a 2-cell.
@@ -106,9 +122,9 @@ def corpus() -> list[FinBicat]:
 def assert_structure_as_walked(B: FinBicat, monkeypatch) -> bool:
     """Check the whole-table decision on ``B`` against the walk; return whether it is well formed."""
     with monkeypatch.context() as m:
-        m.setattr(columns, "well_formed", lambda B: False)
+        m.setattr(columns, "well_formed", lambda B, tables: False)
         walked = structural_violations(dataclasses.replace(B))
-    assert columns.well_formed(B) == (not walked), (B.name, walked)
+    assert columns.well_formed(B, core.TABLES) == (not walked), (B.name, walked)
     assert structural_violations(dataclasses.replace(B)) == walked
     return not walked
 
@@ -259,6 +275,58 @@ def test_structure_is_decided_as_walked_when_hcomp1_and_its_lookups_move(name, f
     for _, args in hcomp1_mutants(B):
         kinds[assert_structure_as_walked(FinBicat(**args), monkeypatch)] += 1
     assert kinds == {True: fine, False: faulty}
+
+
+# -- frames -------------------------------------------------------------------
+
+
+def assert_frames_as_referenced(owner, tables: dict) -> set[str]:
+    """Check each table's frames against the per-key reference; return the tables with a frame holding None."""
+    missed = set()
+    for t in tables.values():
+        got = list(t.frames(owner))
+        assert got == frame_reference.frames(t, owner), t.name
+        if any(None in frame for _, frame in got):
+            missed.add(t.name)
+    return missed
+
+
+def psfun_mutants(F: PsFun):
+    """``F`` with one ``f0`` or ``f1`` entry dropped or sent to another cell, so that lookups miss."""
+    values = {"f0": list(F.target.objects), "f1": [c.id for c in F.target.one_cells]}
+    for name, cells in values.items():
+        table = getattr(F, name)
+        for key in table:
+            yield dataclasses.replace(F, **{name: {k: v for k, v in table.items() if k != key}})
+            for v in cells:
+                if v != table[key]:
+                    yield dataclasses.replace(F, **{name: {**table, key: v}})
+
+
+def test_frames_match_the_per_key_reference():
+    docs = [load_document(p) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+    doc_maps = [F for doc in docs for F in doc.psfuns.values()]
+    maps = list(doc_maps)
+    for case in theorem_suite():
+        maps += [case.psfun, induce_g_tilde(case.psfun, case.w_src, case.w_tgt).psfun]
+    bicats = [doc.bicat for doc in docs]
+    bicats += [materialize_fractions(B, W, validate=False).bicat for _, B, W in pinned_classes()]
+    for B in bicats:
+        assert assert_frames_as_referenced(B, core.TABLES) == set(), B.name
+    for F in maps:
+        assert assert_frames_as_referenced(F, PSFUN_TABLES) == set(), F.name
+    missed = set()
+    for name in ("arrow2", "appx-toy", "iso2"):
+        B = load_document(FIXTURE_DIR / f"{name}.json").bicat
+        mutants = chain(structure_mutants(B), isolated_object_mutants(B), hcomp1_mutants(B))
+        for _, args in mutants:
+            missed |= assert_frames_as_referenced(FinBicat(**args), core.TABLES)
+    assert missed == {"whisk_left", "whisk_right", "assoc", "runit", "lunit"}
+    missed = set()
+    for F in doc_maps:
+        for mutant in psfun_mutants(F):
+            missed |= assert_frames_as_referenced(mutant, PSFUN_TABLES)
+    assert missed == {"f1", "f2", "psi", "sigma"}
 
 
 # -- construction -------------------------------------------------------------

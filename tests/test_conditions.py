@@ -406,7 +406,9 @@ def test_a_missing_class_is_a_value_error_before_any_precondition(toy, classes):
         (lambda: check_family(F, "B"), "B2 needs the source class"),
         (lambda: check_family(F, "EF"), "EF2 needs the source class"),
         (lambda: check_A(F, W, None, 3), "A3 needs the target class"),
+        (lambda: check_B(F, None, 1), "B1 needs the source class"),
         (lambda: check_B(F, None, 2), "B2 needs the source class"),
+        (lambda: check_B(F, None, 3), "B3 needs the source class"),
         (lambda: check_EF(F, None, 2), "EF2 needs the source class"),
     ]
     for call, message in calls:
@@ -427,6 +429,8 @@ def test_replaying_a_witness_without_its_class_is_a_value_error(toy, classes):
         with pytest.raises(ValueError, match=f"^{message}$"):
             recheck_witness(F, report, W_A, W_B)
     assert recheck_witness(F, check_EF(F, None, 1))
+    for which in (1, 3):  # B1 and B3 read no class, though B's precondition does
+        assert recheck_witness(F, check_B(F, classes["Wmin"], which)) is True
 
 
 def test_mutated_witness_is_rejected(toy, classes):
@@ -437,7 +441,8 @@ def test_mutated_witness_is_rejected(toy, classes):
     assert not recheck_witness(F, forged, classes["W"], classes["W"])
     for rep in (r, check_EF(F, classes["Wmin"], 3)):
         u, w = rep.witness
-        for bad in ((u, w[:-1]), (u, w + w[-1:]), (u[:-1], w), (u + u[-1:], w)):
+        shapes = ((u,), (u, w, ()), (1, 2), (u, None), ([["A"]], ["x"]))
+        for bad in ((u, w[:-1]), (u, w + w[-1:]), (u[:-1], w), (u + u[-1:], w), *shapes):
             forged = dataclasses.replace(rep, witness=bad)
             assert recheck_witness(F, forged, classes["W"], classes["W"]) is False, (rep.tag, bad)
         as_json = dataclasses.replace(rep, witness=[list(u), list(w)])
